@@ -31,6 +31,7 @@ __all__ = [
     "girth8_coarse_bound",
     "growth_delta",
     "reiman_max_e",
+    "size_cap",
     "unbalanced_cap",
 ]
 
@@ -88,6 +89,16 @@ def cubic_max_e(v: int, w: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def size_cap(v: int, w: int, girth: int) -> int:
+    """The paper's size bound at a girth floor: the cubic bound at girth 8,
+    the quadratic (Reiman) bound at girth 6."""
+    if girth == 8:
+        return cubic_max_e(v, w)
+    if girth == 6:
+        return reiman_max_e(v, w)
+    raise ValueError(f"girth must be 6 or 8, got {girth}")
 
 
 def unbalanced_cap(v: int, w: int) -> int | None:

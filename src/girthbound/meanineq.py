@@ -37,8 +37,17 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"matrix entry {value!r} has a zero denominator") from None
     raise ValueError(f"matrix entry {value!r} is not a rational")
+
+
+def _parse_row(row) -> tuple[Fraction, ...]:
+    if not isinstance(row, (list, tuple)):
+        raise ValueError(f"matrix row {row!r} is not a list")
+    return tuple(_to_fraction(x) for x in row)
 
 
 class NonnegMatrix:
@@ -47,7 +56,9 @@ class NonnegMatrix:
     __slots__ = ("entries", "v", "w", "row_sums", "col_sums", "total")
 
     def __init__(self, rows) -> None:
-        parsed = [tuple(_to_fraction(x) for x in row) for row in rows]
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"matrix rows {rows!r} are not a list")
+        parsed = [_parse_row(row) for row in rows]
         if not parsed or not parsed[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(parsed[0])

@@ -2,8 +2,12 @@
 
 Depth-first edge addition in a fixed column-major edge order (edge index
 m = j*v + i for the pair (i, j)).  A partial graph is extended only when
-the new edge closes no cycle shorter than the floor, checked by a breadth-
-first probe truncated at depth min_girth - 2.  Pruning combines
+the new edge closes no cycle shorter than the floor.  The check runs on the
+paper's contraction of class V (two V-vertices joined when they share a
+W-neighbour), kept as one bitmask per V-vertex: under girth >= 6 the shared
+neighbour is unique, so each edge added or removed updates the masks by
+XOR, and a 4- or 6-cycle test is one or two mask intersections.  Pruning
+combines
 
   (a) a remaining-edge count bound (degree-ordering aware),
   (b) the cubic (girth 8) or quadratic (girth 6) size bound on any
@@ -17,7 +21,8 @@ The tree is split at fixed depth 2 (the first two chosen edges) into
 independent subtrees merged by max with first-in-edge-order ties.  Each
 subtree is self-contained, so certificates (including nodes_explored) do
 not depend on the worker count; the node budget applies per subtree and
-the time budget is a shared absolute deadline.
+the time budget is a shared absolute deadline, checked as each subtree
+starts and every 1024 nodes inside it.
 """
 
 from __future__ import annotations
@@ -69,6 +74,28 @@ class BudgetExhausted(RuntimeError):
     lower bound, so certification is indeterminate."""
 
 
+def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
+    """Mask R for a W-vertex j with V-neighbour mask ``col_mask``: adding the
+    edge (i, j) closes a cycle shorter than ``min_girth`` iff cmask[i] & R.
+
+    ``cmask[x]`` is the set of V-vertices sharing a W-neighbour with x (x's
+    neighbourhood in the contraction) in a graph of girth >= 6.  A 4-cycle
+    through the new edge is a path i - y - x - j: a contraction neighbour
+    of i adjacent to j.  A 6-cycle is a path i - y - z - y' - x - j: a
+    contraction neighbour z of i that is a contraction neighbour of some x
+    adjacent to j.
+    """
+    if min_girth == 6:
+        return col_mask
+    reach = col_mask
+    rest = col_mask
+    while rest:
+        low = rest & -rest
+        reach |= cmask[low.bit_length() - 1]
+        rest ^= low
+    return reach
+
+
 def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     """Explore every extension of a fixed edge prefix.
 
@@ -77,51 +104,30 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     it can cross a process boundary.
     """
     v, w, min_girth, prefix, cap, max_nodes, deadline = args
+    best_e = len(prefix)
+    best_edges = tuple(prefix)
+    if time.monotonic() > deadline:
+        return best_e, best_edges, 0, False
     total_edges = v * w
-    limit = min_girth - 2
-    amask_v = [0] * v  # W-neighbour bitmasks per V-vertex
     amask_w = [0] * w  # V-neighbour bitmasks per W-vertex
     deg_w = [0] * w
+    # Contraction masks: cmask[x] holds the V-vertices that share a
+    # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
+    # edge (i, j) sets, and removing it clears, each affected bit with one
+    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).
+    cmask = [0] * v
     stack = list(prefix)
     for m in prefix:
         j, i = divmod(m, v)
-        amask_v[i] |= 1 << j
         amask_w[j] |= 1 << i
         deg_w[j] += 1
+    if prefix[0] // v == prefix[1] // v:  # the two prefix edges share their W-end
+        i1, i2 = prefix[0] % v, prefix[1] % v
+        cmask[i1] = 1 << i2
+        cmask[i2] = 1 << i1
 
-    best_e = len(prefix)
-    best_edges = tuple(prefix)
     nodes = 0
     completed = True
-
-    def reaches(i: int, j: int) -> bool:
-        # True iff W-vertex j lies within distance `limit` of V-vertex i.
-        target = 1 << j
-        seen_v = frontier = 1 << i
-        seen_w = 0
-        for depth in range(1, limit + 1, 2):
-            layer_w = 0
-            fv = frontier
-            while fv:
-                low = fv & -fv
-                layer_w |= amask_v[low.bit_length() - 1]
-                fv ^= low
-            if layer_w & target:
-                return True
-            if depth + 2 > limit:
-                return False
-            layer_w &= ~seen_w
-            seen_w |= layer_w
-            layer_v = 0
-            while layer_w:
-                low = layer_w & -layer_w
-                layer_v |= amask_w[low.bit_length() - 1]
-                layer_w ^= low
-            frontier = layer_v & ~seen_v
-            if not frontier:
-                return False
-            seen_v |= frontier
-        return False
 
     def rec(last_m: int, e_cur: int) -> None:
         nonlocal nodes, best_e, best_edges, completed
@@ -147,49 +153,48 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
             ceiling = cap
         if ceiling <= best_e:
             return
-        # Grow the active column.
+        # Candidate edges in edge order: first grow the active column, then
+        # open the next one, which finalizes the active column.
+        segments = []
         if col == 0 or deg_w[col] < deg_w[col - 1]:
-            jbit = 1 << col
-            for m in range(last_m + 1, (col + 1) * v):
-                i = m - col * v
-                if reaches(i, col):
+            segments.append((col, last_m + 1 - col * v))
+        opens = col + 1 < w
+        if opens and col >= 1 and deg_w[col] == deg_w[col - 1]:
+            # The finalized pair must satisfy the block-canonical set order:
+            # not when the previous column's set is lexicographically larger.
+            diff = amask_w[col - 1] ^ amask_w[col]
+            opens = not diff or bool(amask_w[col - 1] & (diff & -diff))
+        if opens:
+            segments.append((col + 1, 0))
+        for j, first in segments:
+            base = j * v
+            nbrs = amask_w[j]
+            reach = _short_cycle_mask(cmask, nbrs, min_girth)
+            for i in range(first, v):
+                if cmask[i] & reach:
                     continue
-                stack.append(m)
-                amask_v[i] |= jbit
-                amask_w[col] |= 1 << i
-                deg_w[col] += 1
-                rec(m, e_cur + 1)
-                deg_w[col] -= 1
-                amask_w[col] ^= 1 << i
-                amask_v[i] ^= jbit
+                ibit = 1 << i
+                amask_w[j] = nbrs | ibit
+                deg_w[j] += 1
+                cmask[i] ^= nbrs
+                rest = nbrs
+                while rest:
+                    low = rest & -rest
+                    cmask[low.bit_length() - 1] ^= ibit
+                    rest ^= low
+                stack.append(base + i)
+                rec(base + i, e_cur + 1)
                 stack.pop()
+                rest = nbrs
+                while rest:
+                    low = rest & -rest
+                    cmask[low.bit_length() - 1] ^= ibit
+                    rest ^= low
+                cmask[i] ^= nbrs
+                deg_w[j] -= 1
+                amask_w[j] = nbrs
                 if not completed:
                     return
-        # Open the next column, finalizing the active one; the finalized
-        # pair must satisfy the block-canonical set order.
-        nxt = col + 1
-        if nxt >= w:
-            return
-        if col >= 1 and deg_w[col] == deg_w[col - 1]:
-            diff = amask_w[col - 1] ^ amask_w[col]
-            if diff and not (amask_w[col - 1] & (diff & -diff)):
-                return  # previous column's set is lexicographically larger
-        jbit = 1 << nxt
-        for m in range(nxt * v, (nxt + 1) * v):
-            i = m - nxt * v
-            if reaches(i, nxt):
-                continue
-            stack.append(m)
-            amask_v[i] |= jbit
-            amask_w[nxt] |= 1 << i
-            deg_w[nxt] += 1
-            rec(m, e_cur + 1)
-            deg_w[nxt] -= 1
-            amask_w[nxt] ^= 1 << i
-            amask_v[i] ^= jbit
-            stack.pop()
-            if not completed:
-                return
 
     rec(stack[-1], len(prefix))
     return best_e, best_edges, nodes, completed
@@ -226,10 +231,7 @@ def max_size(
 
     start = time.monotonic()
     deadline = start + max_seconds
-    if min_girth == 8:
-        cap = bounds.cubic_max_e(v, w)
-    else:
-        cap = bounds.reiman_max_e(v, w)
+    cap = bounds.size_cap(v, w, min_girth)
 
     # Depth 0..2 by hand: the root, single-edge graphs (canonical form puts
     # the first edge in column 0), and the two-edge subtree roots.
@@ -316,8 +318,4 @@ def certify_bound(
         raise BudgetExhausted(
             f"search on (v={v}, w={w}, girth>={min_girth}) exceeded its budget"
         )
-    if min_girth == 8:
-        bound = bounds.cubic_max_e(v, w)
-    else:
-        bound = bounds.reiman_max_e(v, w)
-    return cert.e_max <= bound
+    return cert.e_max <= bounds.size_cap(v, w, min_girth)

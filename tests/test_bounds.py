@@ -17,6 +17,7 @@ from girthbound.bounds import (
     girth8_coarse_bound,
     growth_delta,
     reiman_max_e,
+    size_cap,
     unbalanced_cap,
 )
 
@@ -260,6 +261,18 @@ class TestBoundReport:
     def test_rejects_bad_girth(self):
         with pytest.raises(ValueError):
             bound_report(3, 3, 7)
+
+
+class TestSizeCap:
+    def test_matches_the_paper_bound_of_each_floor(self):
+        for v in range(1, 12):
+            for w in range(1, 12):
+                assert size_cap(v, w, 8) == cubic_max_e(v, w)
+                assert size_cap(v, w, 6) == reiman_max_e(v, w)
+
+    def test_rejects_bad_girth(self):
+        with pytest.raises(ValueError):
+            size_cap(3, 3, 7)
 
 
 class TestBigIntegers:

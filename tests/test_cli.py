@@ -300,6 +300,17 @@ class TestAwm:
         code, _, err = run(capsys, "awm", str(path), "--rho", "0", "--gamma", "0")
         assert code == 2 and "negative" in err
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [('[["1/0", 1]]', "zero denominator"), ("[1, 2]", "not a list")],
+    )
+    def test_malformed_rows(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"rows": {rows}}}')
+        code, _, err = run(capsys, "awm", str(path), "--rho", "0", "--gamma", "0")
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
     def test_bad_rho(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"rows": [[1]]}')

@@ -37,6 +37,11 @@ class TestMatrix:
         with pytest.raises(ValueError, match="same length"):
             NonnegMatrix([[1, 2], [3]])
 
+    @pytest.mark.parametrize("rows", [[["1/0", 1]], [1, 2], 5])
+    def test_malformed_rejected(self, rows):
+        with pytest.raises(ValueError):
+            NonnegMatrix(rows)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             NonnegMatrix([])

@@ -1,10 +1,11 @@
 import random
+import time
 from math import comb
 
 import pytest
 
 from girthbound import bounds, search
-from girthbound.graphcore import girth
+from girthbound.graphcore import contract, from_edges, girth
 from girthbound.search import BudgetExhausted, certify_bound, max_size
 from helpers import short_path_exists
 
@@ -35,6 +36,50 @@ def brute_force_max(v: int, w: int, min_girth: int) -> int:
 
     rec(0, 0)
     return best
+
+
+class TestContractionCycleTest:
+    """The kernel's cycle test, cmask[i] & _short_cycle_mask(...), against
+    the independent BFS oracle on random partial graphs of girth >= 6."""
+
+    def test_agrees_with_bfs_on_every_candidate_edge(self):
+        rng = random.Random(20)
+        for _ in range(150):
+            v, w = rng.randint(1, 10), rng.randint(1, 10)
+            pool = [(i, j) for i in range(v) for j in range(w)]
+            rng.shuffle(pool)
+            floor = rng.choice((6, 8))
+            adj_v = [[] for _ in range(v)]
+            adj_w = [[] for _ in range(w)]
+            amask_w = [0] * w
+            cmask = [0] * v
+            edges = []
+            for i, j in pool[: rng.randint(0, len(pool))]:
+                if short_path_exists(adj_v, adj_w, i, j, floor - 2):
+                    continue
+                # The kernel's incremental update of the contraction masks.
+                for x in adj_w[j]:
+                    cmask[x] ^= 1 << i
+                cmask[i] ^= amask_w[j]
+                amask_w[j] |= 1 << i
+                adj_v[i].append(j)
+                adj_w[j].append(i)
+                edges.append((i, j))
+            expected = [0] * v
+            for x, z in contract(from_edges(v, w, edges)).edges:
+                expected[x] |= 1 << z
+                expected[z] |= 1 << x
+            assert cmask == expected
+            for g in (6, 8):
+                for j in range(w):
+                    reach = search._short_cycle_mask(cmask, amask_w[j], g)
+                    for i in range(v):
+                        if j in adj_v[i]:
+                            continue
+                        closes = bool(cmask[i] & reach)
+                        assert closes == short_path_exists(adj_v, adj_w, i, j, g - 2), (
+                            v, w, floor, edges, i, j, g
+                        )
 
 
 class TestSmallExactValues:
@@ -147,6 +192,19 @@ class TestDeterminismAndBudgets:
         a = max_size(6, 5, 8)
         b = max_size(6, 5, 8)
         assert (a.e_max, a.nodes_explored, a.witness) == (b.e_max, b.nodes_explored, b.witness)
+
+    @pytest.mark.parametrize("v,w,g,nodes", [(7, 5, 8, 63445), (7, 6, 6, 312823)])
+    def test_pinned_node_counts(self, v, w, g, nodes):
+        # The tree a pruning change would alter; update with a reason.
+        assert max_size(v, w, g).nodes_explored == nodes
+
+    def test_time_budget_is_honoured(self):
+        start = time.monotonic()
+        cert = max_size(30, 30, 6, max_seconds=1.0)
+        assert time.monotonic() - start < 1.5
+        assert not cert.exhaustive
+        rep = girth(cert.witness)
+        assert rep.girth is None or rep.girth >= 6
 
     def test_worker_count_does_not_change_certificate(self):
         one = max_size(6, 4, 8, threads=1)
