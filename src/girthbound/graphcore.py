@@ -20,6 +20,7 @@ __all__ = [
     "BipartiteGraph",
     "GirthReport",
     "Graph",
+    "MAX_JSON_CLASS_SIZE",
     "contract",
     "count_paths3",
     "count_paths3_enumerate",
@@ -30,6 +31,11 @@ __all__ = [
     "to_json",
     "verify_weak_gq",
 ]
+
+# Largest class size from_json accepts.  BipartiteGraph allocates one list
+# per vertex before reading any edge, so a file claiming a huge class with
+# no edges would otherwise exhaust memory before any check fails.
+MAX_JSON_CLASS_SIZE = 10 ** 6
 
 
 class Graph:
@@ -393,6 +399,10 @@ def from_json(obj) -> BipartiteGraph:
     v, w, edges = obj["v"], obj["w"], obj["edges"]
     if not isinstance(v, int) or not isinstance(w, int) or isinstance(v, bool) or isinstance(w, bool):
         raise ValueError("graph JSON fields 'v' and 'w' must be integers")
+    if v > MAX_JSON_CLASS_SIZE or w > MAX_JSON_CLASS_SIZE:
+        raise ValueError(
+            f"graph JSON class sizes v={v} w={w} exceed the limit {MAX_JSON_CLASS_SIZE}"
+        )
     if not isinstance(edges, list):
         raise ValueError("graph JSON field 'edges' must be an array")
     pairs = []

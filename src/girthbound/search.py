@@ -10,19 +10,29 @@ XOR, and a 4- or 6-cycle test is one or two mask intersections.  Pruning
 combines
 
   (a) a remaining-edge count bound (degree-ordering aware),
-  (b) the cubic (girth 8) or quadratic (girth 6) size bound on any
-      completed supergraph, and
+  (b) the least size bound bounds.bound_report proves for any completed
+      supergraph (the cubic, quadratic, coarse or unbalanced bound), and
   (c) symmetry breaking on class W: W-vertices are used in non-increasing
       degree blocks, with lexicographically non-decreasing neighbour sets
       inside a block, so exactly one column permutation of every graph
       survives.  Class V symmetry is deliberately left unbroken.
 
 The tree is split at fixed depth 2 (the first two chosen edges) into
-independent subtrees merged by max with first-in-edge-order ties.  Each
-subtree is self-contained, so certificates (including nodes_explored) do
-not depend on the worker count; the node budget applies per subtree and
-the time budget is a shared absolute deadline, checked as each subtree
-starts and every 1024 nodes inside it.
+independent subtrees, consumed in edge order and merged by max with
+first-in-edge-order ties.  A graph that meets the bound of (b) is
+optimal, so the search stops after the first subtree whose best graph
+meets it; otherwise every subtree runs.  ``exhaustive`` therefore means
+the maximum is proven, by the completed tree or by the bound.
+
+The node budget applies to the whole search: the root and single-edge
+nodes come first, then each subtree gets what is left, and the search
+stops at the first subtree cut short.  Each subtree is self-contained and
+workers' results are taken in the same order, a result that overran the
+remaining budget being redone in-process with exactly that budget, so
+certificates (including nodes_explored) do not depend on the worker
+count.  The time budget is a shared absolute deadline, checked as each
+subtree starts and every 1024 nodes inside it; at the same points a worker
+ends its subtree once the search has stopped taking results.
 """
 
 from __future__ import annotations
@@ -46,7 +56,20 @@ __all__ = [
 DEFAULT_MAX_NODES = 10 ** 8
 DEFAULT_MAX_SECONDS = 60.0
 
-_TIME_CHECK_MASK = 0x3FF  # poll the clock every 1024 nodes
+_TIME_CHECK_MASK = 0x3FF  # poll the clock and the stop event every 1024 nodes
+
+# In a pool worker, the event the parent sets once it has stopped taking
+# results, so that subtrees already handed out end early; None elsewhere.
+_stop_event = None
+
+
+def _init_worker(stop_event) -> None:
+    global _stop_event
+    _stop_event = stop_event
+
+
+def _should_stop(deadline: float) -> bool:
+    return time.monotonic() > deadline or (_stop_event is not None and _stop_event.is_set())
 
 
 @dataclass(frozen=True)
@@ -55,8 +78,9 @@ class SearchCertificate:
 
     ``witness`` achieves ``e_max`` at girth >= ``min_girth`` (re-verified
     through graphcore.girth, independently of the incremental check used
-    while searching).  ``exhaustive`` is True when every subtree completed
-    within budget, i.e. no larger graph exists.
+    while searching).  ``exhaustive`` is True when ``e_max`` is proven
+    maximum within budget: every subtree completed, or the search stopped
+    because the witness meets a proven size bound.
     """
 
     v: int
@@ -67,6 +91,17 @@ class SearchCertificate:
     exhaustive: bool
     nodes_explored: int
     elapsed: float
+
+    @property
+    def optimality(self) -> str:
+        """What proves ``e_max`` maximum: ``"bound"`` when it equals the
+        least bound bounds.bound_report proves, ``"exhaustive"`` when only
+        the completed tree does, ``"none"`` when the search was cut."""
+        if not self.exhaustive:
+            return "none"
+        if self.e_max == bounds.bound_report(self.v, self.w, self.min_girth).binding_value:
+            return "bound"
+        return "exhaustive"
 
 
 class BudgetExhausted(RuntimeError):
@@ -106,7 +141,7 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     v, w, min_girth, prefix, cap, max_nodes, deadline = args
     best_e = len(prefix)
     best_edges = tuple(prefix)
-    if time.monotonic() > deadline:
+    if _should_stop(deadline):
         return best_e, best_edges, 0, False
     total_edges = v * w
     amask_w = [0] * w  # V-neighbour bitmasks per W-vertex
@@ -131,11 +166,11 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
 
     def rec(last_m: int, e_cur: int) -> None:
         nonlocal nodes, best_e, best_edges, completed
-        nodes += 1
-        if nodes > max_nodes:
+        if nodes == max_nodes:
             completed = False
             return
-        if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
+        nodes += 1
+        if nodes & _TIME_CHECK_MASK == 0 and _should_stop(deadline):
             completed = False
             return
         if e_cur > best_e:
@@ -205,21 +240,9 @@ def _edge_pair(v: int, m: int) -> tuple[int, int]:
     return i, j
 
 
-def max_size(
-    v: int,
-    w: int,
-    min_girth: int,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_seconds: float = DEFAULT_MAX_SECONDS,
-    threads: int = 1,
-) -> SearchCertificate:
-    """Maximum number of edges of a bipartite graph on (v, w) vertices with
-    girth >= min_girth, with a witness and an exhaustiveness certificate.
-
-    Exhaustive completion is guaranteed under default budgets for
-    v*w <= 36.  On budget exhaustion the certificate carries the best
-    graph found so far with ``exhaustive=False``.
-    """
+def _validate(
+    v: int, w: int, min_girth: int, max_nodes: int, max_seconds: float, threads: int
+) -> None:
     if v < 1 or w < 1:
         raise ValueError(f"class sizes must be >= 1, got v={v} w={w}")
     if min_girth not in (6, 8):
@@ -229,55 +252,76 @@ def max_size(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
+
+def _search(
+    v: int,
+    w: int,
+    min_girth: int,
+    cap: int,
+    max_nodes: int,
+    max_seconds: float,
+    threads: int,
+) -> SearchCertificate:
+    """The search behind max_size and certify_bound, pruned against ``cap``.
+
+    ``cap`` must be a proven upper bound on the maximum (``v * w`` prunes
+    nothing), because the search stops at the first subtree whose best
+    graph reaches it.
+    """
     start = time.monotonic()
     deadline = start + max_seconds
-    cap = bounds.size_cap(v, w, min_girth)
 
-    # Depth 0..2 by hand: the root, single-edge graphs (canonical form puts
-    # the first edge in column 0), and the two-edge subtree roots.
-    nodes = 1
-    best_e = 0
-    best_edges: tuple[int, ...] = ()
+    # Depth 0..2 by hand: the root, the single-edge graphs (canonical form
+    # puts the first edge in column 0), then the two-edge subtree roots in
+    # edge order.
     tasks: list[tuple[int, int]] = []
-    singles = list(range(v))
-    for m1 in singles:
-        for m2 in range(m1 + 1, v):
-            tasks.append((m1, m2))  # second edge in column 0
+    for m1 in range(v):
+        tasks.extend((m1, m2) for m2 in range(m1 + 1, v))  # second edge in column 0
         if w >= 2:
-            for m2 in range(v, 2 * v):
-                tasks.append((m1, m2))  # second edge opens column 1
-    tasks.sort()
-    task_args = [
-        (v, w, min_girth, (m1, m2), cap, max_nodes, deadline)
-        for m1, m2 in tasks
-    ]
+            tasks.extend((m1, m2) for m2 in range(v, 2 * v))  # second edge opens column 1
 
-    if threads == 1 or not task_args:
-        results = [_explore_subtree(args) for args in task_args]
-    else:
+    def args(prefix, budget):
+        return (v, w, min_girth, prefix, cap, budget, deadline)
+
+    nodes = min(1 + v, max_nodes)  # the root and the single-edge graphs
+    best_e, best_edges = (1, (0,)) if nodes > 1 else (0, ())
+    exhaustive = nodes == 1 + v
+    if not exhaustive:
+        tasks.clear()
+
+    pool = None
+    if threads > 1 and tasks:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(task_args) // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_explore_subtree, task_args, chunksize=chunk))
-
-    exhaustive = True
-    by_first: dict[int, list[int]] = {}
-    for idx, (m1, _m2) in enumerate(tasks):
-        by_first.setdefault(m1, []).append(idx)
-    for m1 in singles:
-        nodes += 1
-        if 1 > best_e:
-            best_e = 1
-            best_edges = (m1,)
-        for idx in by_first.get(m1, []):
-            sub_best, sub_edges, sub_nodes, sub_done = results[idx]
+        # One subtree per work item, so results arrive in task order and a
+        # stop leaves little queued work to cancel.  Workers get the whole
+        # budget; a result that overruns what is left is redone in-process.
+        stop_event = multiprocessing.Event()
+        pool = ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(stop_event,)
+        )
+        futures = [pool.submit(_explore_subtree, args(prefix, max_nodes)) for prefix in tasks]
+    try:
+        for k, prefix in enumerate(tasks):
+            if best_e >= cap:
+                break  # the best graph meets a proven bound, so it is optimal
+            budget = max_nodes - nodes
+            result = futures[k].result() if pool else None
+            if result is None or result[2] > budget:
+                result = _explore_subtree(args(prefix, budget))
+            sub_best, sub_edges, sub_nodes, sub_done = result
             nodes += sub_nodes
+            if sub_best > best_e:
+                best_e, best_edges = sub_best, sub_edges
             if not sub_done:
                 exhaustive = False
-            if sub_best > best_e:
-                best_e = sub_best
-                best_edges = sub_edges
+                break
+    finally:
+        if pool is not None:
+            stop_event.set()  # every result still to come is discarded
+            pool.shutdown(cancel_futures=True)
+    assert nodes <= max_nodes
 
     witness = graphcore.from_edges(v, w, [_edge_pair(v, m) for m in best_edges])
     report = graphcore.girth(witness)
@@ -297,6 +341,26 @@ def max_size(
     )
 
 
+def max_size(
+    v: int,
+    w: int,
+    min_girth: int,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_seconds: float = DEFAULT_MAX_SECONDS,
+    threads: int = 1,
+) -> SearchCertificate:
+    """Maximum number of edges of a bipartite graph on (v, w) vertices with
+    girth >= min_girth, with a witness and an exhaustiveness certificate.
+
+    Exhaustive completion is guaranteed under default budgets for
+    v*w <= 36.  On budget exhaustion the certificate carries the best
+    graph found so far with ``exhaustive=False``.
+    """
+    _validate(v, w, min_girth, max_nodes, max_seconds, threads)
+    cap = bounds.bound_report(v, w, min_girth).binding_value
+    return _search(v, w, min_girth, cap, max_nodes, max_seconds, threads)
+
+
 def certify_bound(
     v: int,
     w: int,
@@ -308,12 +372,12 @@ def certify_bound(
     """True iff the searched maximum respects the matching size bound.
 
     Girth 8 compares against the cubic bound, girth 6 against the
-    quadratic one.  A non-exhaustive search cannot certify either way and
-    raises BudgetExhausted.
+    quadratic one.  The search behind it prunes against no bound, so the
+    comparison checks the bound instead of assuming it.  A non-exhaustive
+    search cannot certify either way and raises BudgetExhausted.
     """
-    cert = max_size(
-        v, w, min_girth, max_nodes=max_nodes, max_seconds=max_seconds, threads=threads
-    )
+    _validate(v, w, min_girth, max_nodes, max_seconds, threads)
+    cert = _search(v, w, min_girth, v * w, max_nodes, max_seconds, threads)
     if not cert.exhaustive:
         raise BudgetExhausted(
             f"search on (v={v}, w={w}, girth>={min_girth}) exceeded its budget"

@@ -202,6 +202,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and "duplicate edge" in err
 
+    def test_huge_class_rejected(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify built a graph")
+
+        monkeypatch.setattr(graphcore, "from_edges", refuse)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"v": 10 ** 12, "w": 1, "edges": []}))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and "exceed the limit" in err
+
     def test_acyclic_reported(self, capsys, tmp_path):
         path = tmp_path / "star.json"
         path.write_text('{"v": 1, "w": 3, "edges": [[0,0],[0,1],[0,2]]}')

@@ -278,6 +278,18 @@ class TestJson:
         with pytest.raises(ValueError, match="must be an object"):
             from_json([1, 2])
 
+    def test_class_size_limit(self, monkeypatch):
+        # Rejected before any graph is built: building one would allocate
+        # a list per vertex.
+        def refuse(*args):
+            raise AssertionError("from_json built a graph")
+
+        monkeypatch.setattr(graphcore, "from_edges", refuse)
+        limit = graphcore.MAX_JSON_CLASS_SIZE
+        for v, w in ((10 ** 12, 1), (1, limit + 1)):
+            with pytest.raises(ValueError, match="exceed the limit"):
+                from_json({"v": v, "w": w, "edges": []})
+
 
 class TestImmutability:
     def test_graph_value_semantics(self):

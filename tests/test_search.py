@@ -1,6 +1,9 @@
+import json
 import random
+import threading
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,10 @@ from girthbound import bounds, search
 from girthbound.graphcore import contract, from_edges, girth
 from girthbound.search import BudgetExhausted, certify_bound, max_size
 from helpers import short_path_exists
+
+# e_max and witness edges for every (v, w) with v*w <= 30 at girths 6 and 8,
+# as the search returned them before it stopped at the least proven bound.
+CERTIFICATES = Path(__file__).parent / "data" / "certificates.json"
 
 
 def brute_force_max(v: int, w: int, min_girth: int) -> int:
@@ -175,6 +182,19 @@ class TestBoundCertification:
         assert certify_bound(3, 3, 6)
         assert max_size(3, 3, 6).e_max == 6 == bounds.reiman_max_e(3, 3)
 
+    def test_certify_checks_the_bound_it_reports(self, monkeypatch):
+        # A bound one below the true maximum must be refuted, which a search
+        # pruned against that same bound could never do.
+        assert certify_bound(5, 5, 8)
+        monkeypatch.setattr(bounds, "size_cap", lambda v, w, g: 9)
+        assert not certify_bound(5, 5, 8)
+
+    def test_optimality(self):
+        assert max_size(8, 5, 8).optimality == "bound"  # the cubic bound
+        assert max_size(8, 3, 8).optimality == "bound"  # the unbalanced cap and coarse bound
+        assert max_size(6, 7, 8).optimality == "exhaustive"  # below every bound
+        assert max_size(8, 3, 8, max_nodes=50).optimality == "none"
+
     def test_exhaustive_results_respect_all_bounds(self):
         for v in range(1, 7):
             for w in range(1, 7):
@@ -193,10 +213,19 @@ class TestDeterminismAndBudgets:
         b = max_size(6, 5, 8)
         assert (a.e_max, a.nodes_explored, a.witness) == (b.e_max, b.nodes_explored, b.witness)
 
-    @pytest.mark.parametrize("v,w,g,nodes", [(7, 5, 8, 63445), (7, 6, 6, 312823)])
+    @pytest.mark.parametrize(
+        "v,w,g,nodes", [(7, 5, 8, 16757), (7, 6, 6, 44964), (8, 3, 8, 95)]
+    )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
         assert max_size(v, w, g).nodes_explored == nodes
+
+    def test_certificates_match_the_table(self):
+        for row in json.loads(CERTIFICATES.read_text()):
+            cert = max_size(row["v"], row["w"], row["girth"])
+            assert cert.exhaustive
+            got = (cert.e_max, [list(e) for e in cert.witness.edges])
+            assert got == (row["e_max"], row["edges"]), row
 
     def test_time_budget_is_honoured(self):
         start = time.monotonic()
@@ -207,11 +236,21 @@ class TestDeterminismAndBudgets:
         assert rep.girth is None or rep.girth >= 6
 
     def test_worker_count_does_not_change_certificate(self):
-        one = max_size(6, 4, 8, threads=1)
-        two = max_size(6, 4, 8, threads=2)
-        assert one.e_max == two.e_max
-        assert one.nodes_explored == two.nodes_explored
-        assert one.witness == two.witness
+        full = search.DEFAULT_MAX_NODES
+        for v, w, g, max_nodes in ((6, 4, 8, full), (8, 5, 8, full), (8, 3, 8, 50)):
+            one = max_size(v, w, g, max_nodes=max_nodes, threads=1)
+            two = max_size(v, w, g, max_nodes=max_nodes, threads=2)
+            assert one.e_max == two.e_max
+            assert one.nodes_explored == two.nodes_explored
+            assert one.witness == two.witness
+            assert one.exhaustive == two.exhaustive
+
+    def test_worker_ends_its_subtree_once_the_search_stops(self, monkeypatch):
+        stop = threading.Event()
+        stop.set()
+        monkeypatch.setattr(search, "_stop_event", stop)
+        args = (6, 7, 8, (0, 1), 15, 10 ** 8, time.monotonic() + 60)
+        assert search._explore_subtree(args)[2:] == (0, False)
 
     def test_node_budget_exhaustion(self):
         cert = max_size(8, 3, 8, max_nodes=50)
@@ -219,6 +258,15 @@ class TestDeterminismAndBudgets:
         assert cert.e_max <= 10
         rep = girth(cert.witness)
         assert rep.girth is None or rep.girth >= 8
+
+    @pytest.mark.parametrize("max_nodes", [1, 5, 9, 10, 50, 1000])
+    def test_node_budget_is_global(self, max_nodes):
+        # 6x7 g8 takes 382,933 nodes, so every budget here cuts it, and a
+        # cut search has spent exactly its budget.
+        cert = max_size(6, 7, 8, max_nodes=max_nodes)
+        assert not cert.exhaustive
+        assert cert.nodes_explored == max_nodes
+        assert cert.witness.e == cert.e_max
 
     def test_certify_raises_on_budget(self):
         with pytest.raises(BudgetExhausted):
