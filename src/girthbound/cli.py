@@ -91,7 +91,12 @@ def _load_uncoloured(path: str) -> graphcore.Graph:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('uncoloured graph JSON needs fields "n" and "edges"')
-    return graphcore.Graph(obj["n"], [tuple(pair) for pair in obj["edges"]])
+    n, limit = obj["n"], graphcore.MAX_JSON_CLASS_SIZE
+    if not isinstance(n, int) or isinstance(n, bool) or n > limit:
+        raise ValueError(
+            f"uncoloured graph JSON field 'n' must be an integer <= {limit}, got {n!r}"
+        )
+    return graphcore.Graph(n, [tuple(pair) for pair in obj["edges"]])
 
 
 def _cmd_construct(args, parser) -> int:

@@ -11,7 +11,6 @@ function of its inputs, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -166,80 +165,118 @@ def from_edges(v: int, w: int, pairs) -> BipartiteGraph:
     return BipartiteGraph(v, w, pairs)
 
 
-def _unified_adjacency(g: BipartiteGraph) -> list[list[int]]:
-    # Internal flat indexing for traversals only: V-vertex i -> i,
-    # W-vertex j -> g.v + j.  Never exposed.
-    adj: list[list[int]] = [[] for _ in range(g.v + g.w)]
-    for i, j in g.edges:
-        adj[i].append(g.v + j)
-        adj[g.v + j].append(i)
-    return adj
-
-
 def girth(g: BipartiteGraph) -> GirthReport:
-    """Exact girth by BFS from every vertex; O(V*E), fine at library scale.
+    """Exact girth and short-cycle flags, one connected component at a time.
 
-    From each source, any non-tree edge (u, x) closes a cycle of length at
-    most dist[u] + dist[x] + 1; the minimum of these over all sources is
-    the girth, and sources on a shortest cycle report it exactly.
+    Components are found in O(v + e); a component with fewer edges than
+    vertices is a tree and is skipped.  In every other component the
+    vertices get local indices and each one a neighbour bitmask, and a
+    frontier-mask BFS runs from each vertex of the component's smaller
+    class (every cycle meets both classes).  A vertex reached from two
+    frontier vertices at level L ends two shortest paths from the source,
+    so a cycle of length at most 2L exists; from a source on a shortest
+    cycle, the vertex opposite it is the first one reached twice, at level
+    girth/2.  The least such 2L over the sources is therefore the girth.  A
+    source stops at the first level L with 2L at least the best cycle so
+    far.  Memory stays proportional to the largest component, not to v*w.
     """
-    adj = _unified_adjacency(g)
-    n = len(adj)
     best: int | None = None
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
+    has_c6 = False
+    for nb_v, nb_w in _cyclic_components(g):
+        # Below girth 8 the flags need to know whether a C6 exists, so look
+        # for cycles under 8 until one is found; otherwise under best.
+        limit = best if has_c6 or best is None or best >= 8 else 8
+        found = _component_girth(nb_v, nb_w, limit)
+        if found is None:
+            continue
+        best = found if best is None else min(best, found)
+        has_c6 = has_c6 or found == 6 or (found == 4 and _contains_c6(nb_v, nb_w))
+        if best == 4 and has_c6:
+            break
+    return GirthReport(girth=best, has_c4=best == 4, has_c6=has_c6)
+
+
+def _cyclic_components(g: BipartiteGraph):
+    """Yield (nb_v, nb_w) for each connected component holding a cycle.
+
+    ``nb_v[x]`` is the bitmask of local W-neighbours of the component's
+    x-th V-vertex, ``nb_w[y]`` that of local V-neighbours of its y-th
+    W-vertex.  Every cycle has a V-vertex, so the traversal starts only
+    from V-vertices; one component is held at a time.
+    """
+    loc_v = [-1] * g.v  # local index within the component, -1 if unseen
+    loc_w = [-1] * g.w
+    for root in range(g.v):
+        if loc_v[root] >= 0:
+            continue
+        loc_v[root] = 0
+        comp_v = [root]
+        comp_w = []
+        for i in comp_v:  # grows while it is read: a BFS order
+            for j in g.adj_v[i]:
+                if loc_w[j] < 0:
+                    loc_w[j] = len(comp_w)
+                    comp_w.append(j)
+                    for x in g.adj_w[j]:
+                        if loc_v[x] < 0:
+                            loc_v[x] = len(comp_v)
+                            comp_v.append(x)
+        if sum(len(g.adj_v[i]) for i in comp_v) < len(comp_v) + len(comp_w):
+            continue  # a tree
+        yield (
+            [sum(1 << loc_w[j] for j in g.adj_v[i]) for i in comp_v],
+            [sum(1 << loc_v[i] for i in g.adj_w[j]) for j in comp_w],
+        )
+
+
+def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int | None:
+    """Girth of a connected component if it is below ``limit``, else None."""
+    if len(nb_v) > len(nb_w):
+        nb_v, nb_w = nb_w, nb_v  # sources from the smaller class
+    nbs = (nb_v, nb_w)
+    best = limit
+    for s in range(len(nb_v)):
+        seen = [1 << s, 0]  # per class: vertices at distance < level
+        frontier = 1 << s
+        level = 1
+        while frontier and (best is None or 2 * level < best):
+            side = level & 1  # class of this level's vertices
+            nb = nbs[1 - side]
+            once = twice = 0
+            for u in _bits(frontier):
+                twice |= once & nb[u]
+                once |= nb[u]
+            fresh = ~seen[side]
+            if twice & fresh:
+                best = 2 * level
                 break
-            for x in adj[u]:
-                if dist[x] < 0:
-                    dist[x] = dist[u] + 1
-                    parent[x] = u
-                    queue.append(x)
-                elif x != parent[u]:
-                    cand = dist[u] + dist[x] + 1
-                    if best is None or cand < best:
-                        best = cand
+            frontier = once & fresh
+            seen[side] |= frontier
+            level += 1
         if best == 4:
             break  # even girth cannot drop below 4
-    has_c4 = best == 4
-    if best is None or best >= 8:
-        has_c6 = False
-    elif best == 6:
-        has_c6 = True
-    else:
-        has_c6 = _contains_c6(g)
-    return GirthReport(girth=best, has_c4=has_c4, has_c6=has_c6)
+    return best if best != limit else None
 
 
-def _contains_c6(g: BipartiteGraph) -> bool:
-    # Walk x1-y1-x2-y2-x3, then look for y3 adjacent to both x3 and x1.
-    # Early return makes this cheap on the dense graphs where C6s abound.
-    mask_v = [0] * g.v
-    for i in range(g.v):
-        m = 0
-        for j in g.adj_v[i]:
-            m |= 1 << j
-        mask_v[i] = m
-    for x1 in range(g.v):
-        m1 = mask_v[x1]
-        for y1 in g.adj_v[x1]:
-            used12 = (1 << y1)
-            for x2 in g.adj_w[y1]:
-                if x2 == x1:
-                    continue
-                for y2 in g.adj_v[x2]:
-                    if y2 == y1:
-                        continue
-                    used = used12 | (1 << y2)
-                    for x3 in g.adj_w[y2]:
-                        if x3 == x1 or x3 == x2:
-                            continue
-                        if mask_v[x3] & m1 & ~used:
+def _bits(m: int):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _contains_c6(nb_v: list[int], nb_w: list[int]) -> bool:
+    # Walk x1-y1-x2-y2-x3 on one component's masks, then look for y3
+    # adjacent to both x3 and x1.  Early return makes this cheap on the
+    # dense graphs where C6s abound.
+    for x1, m1 in enumerate(nb_v):
+        for y1 in _bits(m1):
+            for x2 in _bits(nb_w[y1] & ~(1 << x1)):
+                for y2 in _bits(nb_v[x2] & ~(1 << y1)):
+                    used = m1 & ~(1 << y1) & ~(1 << y2)
+                    for x3 in _bits(nb_w[y2] & ~(1 << x1) & ~(1 << x2)):
+                        if nb_v[x3] & used:
                             return True
     return False
 
@@ -259,18 +296,19 @@ def count_paths3_enumerate(g: BipartiteGraph) -> int:
     """Same count by explicit walk enumeration; the independent oracle.
 
     Intended for small graphs (up to around 40 vertices); enumerates
-    ordered walks on 4 distinct vertices and halves the total.
+    ordered walks a-b-c-d on 4 distinct vertices from either class and
+    halves the total.  a, c and b, d share a class, so a != c and b != d
+    are the only collisions to exclude.
     """
-    adj = _unified_adjacency(g)
     total = 0
-    for a in range(len(adj)):
-        for b in adj[a]:
-            for c in adj[b]:
-                if c == a:
-                    continue
-                for d in adj[c]:
-                    if d != a and d != b:
-                        total += 1
+    for adj, back in ((g.adj_v, g.adj_w), (g.adj_w, g.adj_v)):
+        for a, nbrs in enumerate(adj):
+            for b in nbrs:
+                for c in back[b]:
+                    if c != a:
+                        for d in adj[c]:
+                            if d != b:
+                                total += 1
     return total // 2
 
 
@@ -278,56 +316,29 @@ def prune_min_degree(g: BipartiteGraph, k: int) -> tuple[BipartiteGraph, int]:
     """Repeatedly delete vertices of degree < k; returns (residual, edges removed).
 
     The residual keeps the survivors' relative order and is reindexed
-    compactly.  The fixed point is order-independent, so processing lowest
-    index first is purely cosmetic.  Result has minimal degree >= k or is
-    empty.
+    compactly.  The fixed point is order-independent, so the order in which
+    vertices are deleted is purely cosmetic.  Result has minimal degree >= k
+    or is empty.
     """
     if k < 1:
         raise ValueError(f"degree threshold must be >= 1, got {k}")
-    alive_v = [True] * g.v
-    alive_w = [True] * g.w
-    deg_v = [len(nb) for nb in g.adj_v]
-    deg_w = [len(nb) for nb in g.adj_w]
-    queue = deque()
-    for i in range(g.v):
-        if deg_v[i] < k:
-            queue.append((0, i))
-    for j in range(g.w):
-        if deg_w[j] < k:
-            queue.append((1, j))
-    while queue:
-        side, x = queue.popleft()
-        if side == 0:
-            if not alive_v[x]:
-                continue
-            alive_v[x] = False
-            for j in g.adj_v[x]:
-                if alive_w[j]:
-                    deg_w[j] -= 1
-                    if deg_w[j] < k:
-                        queue.append((1, j))
-        else:
-            if not alive_w[x]:
-                continue
-            alive_w[x] = False
-            for i in g.adj_w[x]:
-                if alive_v[i]:
-                    deg_v[i] -= 1
-                    if deg_v[i] < k:
-                        queue.append((0, i))
-    new_i = {}
-    for i in range(g.v):
-        if alive_v[i]:
-            new_i[i] = len(new_i)
-    new_j = {}
-    for j in range(g.w):
-        if alive_w[j]:
-            new_j[j] = len(new_j)
-    kept = [
-        (new_i[i], new_j[j])
-        for i, j in g.edges
-        if alive_v[i] and alive_w[j]
-    ]
+    adj = (g.adj_v, g.adj_w)  # side 0 is class V, side 1 class W
+    deg = [[len(nb) for nb in side] for side in adj]
+    alive = [[True] * g.v, [True] * g.w]
+    stack = [(s, x) for s in (0, 1) for x in range(len(adj[s])) if deg[s][x] < k]
+    while stack:
+        s, x = stack.pop()
+        if alive[s][x]:
+            alive[s][x] = False
+            for y in adj[s][x]:
+                if alive[1 - s][y]:
+                    deg[1 - s][y] -= 1
+                    if deg[1 - s][y] < k:
+                        stack.append((1 - s, y))
+    new_i, new_j = (
+        {x: n for n, x in enumerate(x for x, a in enumerate(side) if a)} for side in alive
+    )
+    kept = [(new_i[i], new_j[j]) for i, j in g.edges if i in new_i and j in new_j]
     residual = BipartiteGraph(len(new_i), len(new_j), kept)
     return residual, g.e - residual.e
 
@@ -348,40 +359,27 @@ def contract(g: BipartiteGraph) -> Graph:
 def verify_weak_gq(g: BipartiteGraph) -> bool:
     """True iff g is the incidence graph of a weak generalized quadrangle.
 
-    Operationally: girth at least 8, every degree at least 2, and every
-    non-adjacent opposite-class pair joined by exactly one path of length
-    3.  At girth >= 8 adjacent pairs have no length-3 connection, so only
-    non-adjacent pairs need checking.
+    Operationally: both classes nonempty, every degree at least 2, girth at
+    least 8, and every non-adjacent opposite-class pair joined by exactly
+    one path of length 3.  The last condition is checked by counting.  At
+    girth >= 8 the non-backtracking walks j - x - y - z of length 3 from a
+    W-vertex j are paths, they end outside N(j), and no two end at the same
+    z (that would close a cycle of length at most 6).  Their number,
+    sum over x in N(j) of s_x - d(j)(d(j) - 1) with s_x = sum over y in
+    N(x) of (d(y) - 1), is therefore v - d(j) exactly when every V-vertex
+    outside N(j) is reached once.
     """
-    if g.v == 0 or g.w == 0:
+    if g.v == 0 or g.w == 0 or g.min_degree() < 2:
         return False
     rep = girth(g)
     if rep.girth is not None and rep.girth < 8:
         return False
-    if g.min_degree() < 2:
-        return False
-    mask_v = [0] * g.v
-    for i in range(g.v):
-        m = 0
-        for j in g.adj_v[i]:
-            m |= 1 << j
-        mask_v[i] = m
-    for j in range(g.w):
-        jbit = 1 << j
-        nbrs = g.adj_w[j]
-        masks = [mask_v[x] for x in nbrs]
-        for i in range(g.v):
-            mi = mask_v[i]
-            if mi & jbit:
-                continue
-            count = 0
-            for mx in masks:
-                count += (mi & mx).bit_count()
-                if count > 1:
-                    break
-            if count != 1:
-                return False
-    return True
+    dw = g.degrees_w()
+    s = [sum(dw[y] for y in nb) - len(nb) for nb in g.adj_v]
+    return all(
+        sum(s[x] for x in nb) - len(nb) * (len(nb) - 1) == g.v - len(nb)
+        for nb in g.adj_w
+    )
 
 
 def to_json(g: BipartiteGraph) -> dict:

@@ -79,13 +79,25 @@ class NonnegMatrix:
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "NonnegMatrix":
-        """0/1 incidence matrix of a bipartite graph (rows = class V)."""
+        """0/1 incidence matrix of a bipartite graph (rows = class V).
+
+        Built directly: the entries of a validated graph cannot fail the
+        parse and sign checks of ``NonnegMatrix(rows)``, and the margins
+        are the degrees.
+        """
         if g.v == 0 or g.w == 0:
             raise ValueError("incidence matrix needs both classes nonempty")
-        rows = [[0] * g.w for _ in range(g.v)]
+        zero, one = Fraction(0), Fraction(1)
+        rows = [[zero] * g.w for _ in range(g.v)]
         for i, j in g.edges:
-            rows[i][j] = 1
-        return cls(rows)
+            rows[i][j] = one
+        m = cls.__new__(cls)
+        m.entries = tuple(map(tuple, rows))
+        m.v, m.w = g.v, g.w
+        m.row_sums = tuple(map(Fraction, g.degrees_v()))
+        m.col_sums = tuple(map(Fraction, g.degrees_w()))
+        m.total = Fraction(g.e)
+        return m
 
     def __repr__(self) -> str:
         return f"NonnegMatrix(v={self.v}, w={self.w}, total={self.total})"
@@ -106,14 +118,8 @@ def phi(m: NonnegMatrix, rho, gamma) -> Fraction:
 
 def psi(m: NonnegMatrix) -> Fraction:
     """sum_ij a_ij a_i* a_*j, exact; at least e^3 / (v*w) for any
-    nonnegative matrix."""
-    total = Fraction(0)
-    for i, row in enumerate(m.entries):
-        ri = m.row_sums[i]
-        for j, a in enumerate(row):
-            if a:
-                total += a * ri * m.col_sums[j]
-    return total
+    nonnegative matrix: phi at rho = gamma = 0."""
+    return phi(m, 0, 0)
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,12 @@ class SearchCertificate:
     @property
     def optimality(self) -> str:
         """What proves ``e_max`` maximum: ``"bound"`` when it equals the
-        least bound bounds.bound_report proves, ``"exhaustive"`` when only
-        the completed tree does, ``"none"`` when the search was cut."""
-        if not self.exhaustive:
-            return "none"
+        least bound bounds.bound_report proves, even if the search was cut,
+        ``"exhaustive"`` when only the completed tree does, ``"none"`` when
+        the search was cut below that bound."""
         if self.e_max == bounds.bound_report(self.v, self.w, self.min_girth).binding_value:
             return "bound"
-        return "exhaustive"
+        return "exhaustive" if self.exhaustive else "none"
 
 
 class BudgetExhausted(RuntimeError):

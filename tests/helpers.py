@@ -140,6 +140,61 @@ def girth_oracle(g: BipartiteGraph) -> int | None:
     return best
 
 
+def weak_gq_oracle(g: BipartiteGraph) -> bool:
+    """Weak generalized quadrangle by its definition: both classes nonempty,
+    every degree at least 2, girth at least 8 (edge-removal oracle), and
+    exactly one path i - y - x - j of length 3 between every V-vertex i and
+    every W-vertex j not adjacent to it, found by enumerating the paths."""
+    if g.v == 0 or g.w == 0 or g.min_degree() < 2:
+        return False
+    gth = girth_oracle(g)
+    if gth is not None and gth < 8:
+        return False
+    nbr_v = [set(nb) for nb in g.adj_v]
+    for i in range(g.v):
+        for j in range(g.w):
+            if j in nbr_v[i]:
+                continue
+            paths = sum(
+                1
+                for y in g.adj_v[i]
+                for x in g.adj_w[y]
+                if x != i and j in nbr_v[x]
+            )
+            if paths != 1:
+                return False
+    return True
+
+
+def disjoint_union(parts) -> BipartiteGraph:
+    """Side-by-side union, each part's classes indexed after the previous ones."""
+    v = w = 0
+    edges = []
+    for g in parts:
+        edges.extend((i + v, j + w) for i, j in g.edges)
+        v += g.v
+        w += g.w
+    return from_edges(v, w, edges)
+
+
+def random_tree(rng: random.Random, max_vertices: int = 10) -> BipartiteGraph:
+    """Random bipartite tree: each new vertex joins one earlier vertex of the
+    other class."""
+    sides = [0]  # class of each vertex in order of creation
+    index = [0]  # its index within that class
+    counts = [1, 0]
+    edges = []
+    for _ in range(rng.randrange(max_vertices)):
+        parent = rng.randrange(len(sides))
+        side = 1 - sides[parent]
+        sides.append(side)
+        index.append(counts[side])
+        counts[side] += 1
+        a, b = index[parent], index[-1]
+        edges.append((a, b) if side == 1 else (b, a))
+    return from_edges(counts[0], counts[1], edges)
+
+
 def uncoloured_girth_oracle(g: Graph) -> int | None:
     """Edge-removal girth for uncoloured graphs."""
     best = None

@@ -155,6 +155,20 @@ class TestConstructVerifyRoundTrip:
         g = graphcore.from_json(json.loads(out_path.read_text()))
         assert (g.v, g.w, g.e) == (3, 3, 6)
 
+    @pytest.mark.parametrize("n", [10 ** 12, True, "3", 2.0])
+    def test_expand_rejects_bad_vertex_count(self, capsys, tmp_path, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("construct expand built a graph")
+
+        monkeypatch.setattr(graphcore, "Graph", refuse)
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps({"n": n, "edges": []}))
+        code, _, err = run(
+            capsys, "construct", "expand", "--input", str(src),
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2 and err.startswith("error:") and "field 'n' must be an integer" in err
+
     def test_nonprime_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "construct", "pg2", "--q", "6", "--out", str(tmp_path / "x.json")

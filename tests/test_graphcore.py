@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
 from girthbound import graphcore
+from girthbound.constructions import grid_incidence, wq_incidence
 from girthbound.graphcore import (
     BipartiteGraph,
+    GirthReport,
     Graph,
     contract,
     count_paths3,
@@ -17,11 +20,16 @@ from girthbound.graphcore import (
     verify_weak_gq,
 )
 from helpers import (
+    disjoint_union,
     girth_oracle,
     has_c4_oracle,
     has_c6_oracle,
     random_bipartite,
+    random_biregular,
     random_girth_floor,
+    random_min_degree2,
+    random_tree,
+    weak_gq_oracle,
 )
 
 
@@ -35,6 +43,32 @@ def star13() -> BipartiteGraph:
 
 def k22() -> BipartiteGraph:
     return from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+def skewed(rng: random.Random, long_side: int, short_side: int) -> BipartiteGraph:
+    """Random graph with one class several times the other (either way)."""
+    a = rng.randint(short_side + 1, long_side)
+    b = rng.randint(1, short_side)
+    v, w = (a, b) if rng.random() < 0.5 else (b, a)
+    pool = [(i, j) for i in range(v) for j in range(w)]
+    return from_edges(v, w, rng.sample(pool, rng.randint(0, len(pool))))
+
+
+def random_part(rng: random.Random, side: int) -> BipartiteGraph:
+    """One component-ish part for disjoint unions: a random graph of some
+    kind, a tree, isolated vertices, or a skewed graph."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return random_bipartite(rng, max_side=side)
+    if kind == 1:
+        return random_girth_floor(rng, rng.choice((6, 8)), max_side=side)
+    if kind == 2:
+        return random_tree(rng, max_vertices=2 * side)
+    if kind == 3:
+        return from_edges(rng.randint(0, side), rng.randint(0, side), [])
+    if kind == 4:
+        return random_biregular(rng, max_side=side)
+    return skewed(rng, long_side=2 * side, short_side=max(1, side // 3))
 
 
 class TestFromEdges:
@@ -107,6 +141,52 @@ class TestGirth:
             rep = girth(g)
             assert rep.has_c4 == has_c4_oracle(g)
             assert rep.has_c6 == has_c6_oracle(g)
+
+    def test_disjoint_unions_against_oracles(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            g = disjoint_union(random_part(rng, 6) for _ in range(rng.randint(1, 5)))
+            rep = girth(g)
+            assert rep.girth == girth_oracle(g)
+            assert rep.has_c4 == has_c4_oracle(g)
+
+    def test_disjoint_union_flags_against_brute_force(self):
+        # Small enough for the brute-force 6-cycle oracle.
+        rng = random.Random(23)
+        for _ in range(150):
+            g = disjoint_union(random_part(rng, 3) for _ in range(rng.randint(1, 3)))
+            if g.v > 9 or g.w > 9:
+                continue
+            rep = girth(g)
+            assert rep.girth == girth_oracle(g)
+            assert rep.has_c4 == has_c4_oracle(g)
+            assert rep.has_c6 == has_c6_oracle(g)
+
+    def test_c6_in_another_component_than_c4(self):
+        # The 4-cycle is found first; the hexagon lives in a later component.
+        hexagon = from_edges(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
+        for parts in ((k22(), hexagon), (hexagon, k22()), (k22(), c8(), hexagon)):
+            rep = girth(disjoint_union(parts))
+            assert rep == GirthReport(girth=4, has_c4=True, has_c6=True)
+        rep = girth(disjoint_union((c8(), k22(), star13())))
+        assert rep == GirthReport(girth=4, has_c4=True, has_c6=False)
+
+    @pytest.mark.parametrize("extra,want", [
+        ([], GirthReport(girth=None, has_c4=False, has_c6=False)),
+        ([(19998, 19999), (19999, 19998)], GirthReport(girth=4, has_c4=True, has_c6=False)),
+    ])
+    def test_large_sparse_graph(self, extra, want):
+        # A 20,000-edge perfect matching, alone or with one 4-cycle: the
+        # work and memory must follow the components, not v * w.
+        g = from_edges(20000, 20000, [(i, i) for i in range(20000)] + extra)
+        tracemalloc.start()
+        try:
+            rep = girth(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == want
+        assert peak < 4 * 2 ** 20
 
     def test_girth_even_when_present(self):
         rng = random.Random(17)
@@ -257,6 +337,40 @@ class TestWeakGQ:
         for g in (c8(), grid_incidence(3), wq_incidence(3)):
             assert verify_weak_gq(g)
             assert eval_cubic(g.v, g.w, g.e) == 0
+
+
+    def test_against_path_oracle_random(self):
+        rng = random.Random(31)
+        makers = (
+            lambda: random_bipartite(rng, max_side=8),
+            lambda: random_girth_floor(rng, 8, max_side=10),
+            lambda: random_min_degree2(rng, max_side=8),
+            lambda: random_biregular(rng, max_side=8),
+        )
+        for k in range(800):
+            g = makers[k % len(makers)]()
+            assert verify_weak_gq(g) == weak_gq_oracle(g)
+
+    def test_against_path_oracle_families(self):
+        two_c8 = disjoint_union((c8(), c8()))
+        cases = [wq_incidence(2), wq_incidence(3), two_c8]
+        cases += [grid_incidence(t) for t in (1, 2, 3)]
+        for g in cases:
+            assert verify_weak_gq(g) == weak_gq_oracle(g)
+        assert not verify_weak_gq(two_c8)
+
+    @pytest.mark.parametrize("base", [wq_incidence(2), grid_incidence(2)], ids=["W(2)", "grid2"])
+    def test_against_path_oracle_near_misses(self, base):
+        # Every single-edge deletion, and a sample of single-edge additions,
+        # of a weak quadrangle: positives and near-negatives side by side.
+        for drop in base.edges:
+            g = from_edges(base.v, base.w, [e for e in base.edges if e != drop])
+            assert verify_weak_gq(g) == weak_gq_oracle(g)
+        present = set(base.edges)
+        absent = [(i, j) for i in range(base.v) for j in range(base.w) if (i, j) not in present]
+        for add in random.Random(37).sample(absent, min(40, len(absent))):
+            g = from_edges(base.v, base.w, list(base.edges) + [add])
+            assert verify_weak_gq(g) == weak_gq_oracle(g)
 
 
 class TestJson:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from girthbound import meanineq
+from girthbound.constructions import pg2_incidence
 from girthbound.graphcore import from_edges
 from girthbound.meanineq import NonnegMatrix, check, phi, psi
 from helpers import (
@@ -51,6 +52,27 @@ class TestMatrix:
         m = NonnegMatrix.from_graph(g)
         assert m.entries[0][0] == 1 and m.entries[1][2] == 1
         assert m.total == 2
+
+    def test_from_graph_equals_parsed_rows(self):
+        rng = random.Random(29)
+        graphs = [random_bipartite(rng, max_side=9) for _ in range(200)]
+        graphs.append(pg2_incidence(3))
+        for g in graphs:
+            edges = set(g.edges)
+            rows = [[int((i, j) in edges) for j in range(g.w)] for i in range(g.v)]
+            direct = NonnegMatrix.from_graph(g)
+            parsed = NonnegMatrix(rows)
+            for slot in NonnegMatrix.__slots__:
+                assert getattr(direct, slot) == getattr(parsed, slot), slot
+            values = [x for row in direct.entries for x in row]
+            values += [*direct.row_sums, *direct.col_sums, direct.total]
+            assert all(type(x) is Fraction for x in values)
+
+    def test_from_graph_needs_both_classes(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            NonnegMatrix.from_graph(from_edges(0, 3, []))
+        with pytest.raises(ValueError, match="nonempty"):
+            NonnegMatrix.from_graph(from_edges(2, 0, []))
 
 
 class TestPhi:

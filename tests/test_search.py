@@ -193,7 +193,12 @@ class TestBoundCertification:
         assert max_size(8, 5, 8).optimality == "bound"  # the cubic bound
         assert max_size(8, 3, 8).optimality == "bound"  # the unbalanced cap and coarse bound
         assert max_size(6, 7, 8).optimality == "exhaustive"  # below every bound
-        assert max_size(8, 3, 8, max_nodes=50).optimality == "none"
+        # A cut search whose witness meets the least bound is still optimal.
+        assert max_size(8, 3, 8, max_nodes=50).optimality == "bound"
+        cut = max_size(6, 7, 8, max_nodes=50)
+        assert not cut.exhaustive
+        assert cut.e_max < bounds.bound_report(6, 7, 8).binding_value
+        assert cut.optimality == "none"
 
     def test_exhaustive_results_respect_all_bounds(self):
         for v in range(1, 7):
