@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +14,40 @@ from girthbound.bounds import (
     girth8_coarse_bound,
     unbalanced_cap,
 )
-from girthbound.graphcore import Graph, contract, girth, verify_weak_gq
+from girthbound.graphcore import Graph, contract, girth, to_json, verify_weak_gq
 from helpers import random_uncoloured, uncoloured_girth_oracle
+
+# SHA-256 of the Graph JSON of every family member below, as the point-line
+# classes built them before PG(2, q) and W(q) were enumerated directly.
+CONSTRUCTIONS = Path(__file__).parent / "data" / "constructions.json"
+
+
+def pinned_members():
+    """(name, builder) for every family member whose edge list is pinned."""
+    members = [(f"pg2_incidence({q})", lambda q=q: cn.pg2_incidence(q)) for q in (2, 3, 5, 7, 11, 13)]
+    members += [(f"wq_incidence({q})", lambda q=q: cn.wq_incidence(q)) for q in (2, 3, 5, 7)]
+    members += [(f"grid_incidence({t})", lambda t=t: cn.grid_incidence(t)) for t in range(7)]
+    for v in range(1, 7):
+        lo = v * (v - 1) // 2
+        members += [(f"unbalanced6({v}, {w})", lambda v=v, w=w: cn.unbalanced6(v, w)) for w in range(max(lo, 1), lo + 6)]
+    for v in range(2, 7):
+        lo = v * v // 4
+        members += [(f"unbalanced8({v}, {w})", lambda v=v, w=w: cn.unbalanced8(v, w)) for w in range(lo, lo + 6)]
+    members += [(f"complete_bipartite({a}, {b})", lambda a=a, b=b: cn.complete_bipartite(a, b)) for a, b in ((1, 3), (2, 2), (3, 4))]
+    members.append(("expand(K_4)", lambda: cn.expand(Graph(4, list(combinations(range(4), 2))))))
+    return members
+
+
+def edge_list_hash(g) -> str:
+    return hashlib.sha256(json.dumps(to_json(g), sort_keys=True).encode()).hexdigest()
+
+
+def test_edge_lists_match_the_pinned_hashes():
+    pinned = json.loads(CONSTRUCTIONS.read_text())
+    members = pinned_members()
+    assert sorted(pinned) == sorted(name for name, _ in members)
+    for name, build in members:
+        assert edge_list_hash(build()) == pinned[name], name
 
 
 class TestPrimeField:
