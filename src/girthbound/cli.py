@@ -71,10 +71,7 @@ def _cmd_bound(args, parser) -> int:
 
 def _add_construct_parser(sub) -> None:
     p = sub.add_parser("construct", help="generate a named graph family member")
-    p.add_argument(
-        "kind",
-        choices=("grid", "pg2", "wq", "complete", "expand", "unbalanced6", "unbalanced8"),
-    )
+    p.add_argument("kind", choices=tuple(_CONSTRUCT_KINDS))
     p.add_argument("--t", type=int, help="grid parameter")
     p.add_argument("--q", type=int, help="prime field order for pg2/wq")
     p.add_argument("--a", type=int, help="first class size for complete")
@@ -99,47 +96,30 @@ def _load_uncoloured(path: str) -> graphcore.Graph:
     return graphcore.Graph(n, [tuple(pair) for pair in obj["edges"]])
 
 
+# Each construct kind: its builder and the flags it requires, passed to the
+# builder in this order and named in the summary label.
+_CONSTRUCT_KINDS = {
+    "grid": (constructions.grid_incidence, ("t",)),
+    "pg2": (constructions.pg2_incidence, ("q",)),
+    "wq": (constructions.wq_incidence, ("q",)),
+    "complete": (constructions.complete_bipartite, ("a", "b")),
+    "expand": (lambda path: constructions.expand(_load_uncoloured(path)), ("input",)),
+    "unbalanced6": (constructions.unbalanced6, ("v", "w")),
+    "unbalanced8": (constructions.unbalanced8, ("v", "w")),
+}
+
+
 def _cmd_construct(args, parser) -> int:
-    kind = args.kind
+    build, flags = _CONSTRUCT_KINDS[args.kind]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        parser.error(f"{args.kind} requires " + " and ".join(f"--{flag}" for flag in flags))
     try:
-        if kind == "grid":
-            if args.t is None:
-                parser.error("grid requires --t")
-            g = constructions.grid_incidence(args.t)
-            label = f"grid t={args.t}"
-        elif kind == "pg2":
-            if args.q is None:
-                parser.error("pg2 requires --q")
-            g = constructions.pg2_incidence(args.q)
-            label = f"pg2 q={args.q}"
-        elif kind == "wq":
-            if args.q is None:
-                parser.error("wq requires --q")
-            g = constructions.wq_incidence(args.q)
-            label = f"wq q={args.q}"
-        elif kind == "complete":
-            if args.a is None or args.b is None:
-                parser.error("complete requires --a and --b")
-            g = constructions.complete_bipartite(args.a, args.b)
-            label = f"complete a={args.a} b={args.b}"
-        elif kind == "expand":
-            if args.input is None:
-                parser.error("expand requires --input")
-            g = constructions.expand(_load_uncoloured(args.input))
-            label = f"expand input={args.input}"
-        elif kind == "unbalanced6":
-            if args.v is None or args.w is None:
-                parser.error("unbalanced6 requires --v and --w")
-            g = constructions.unbalanced6(args.v, args.w)
-            label = f"unbalanced6 v={args.v} w={args.w}"
-        else:
-            if args.v is None or args.w is None:
-                parser.error("unbalanced8 requires --v and --w")
-            g = constructions.unbalanced8(args.v, args.w)
-            label = f"unbalanced8 v={args.v} w={args.w}"
+        g = build(*values)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    label = " ".join([args.kind] + [f"{flag}={value}" for flag, value in zip(flags, values)])
     try:
         with open(args.out, "w") as fh:
             json.dump(graphcore.to_json(g), fh)

@@ -4,8 +4,7 @@ Covers the edge-subdivision expansion, grid incidence graphs, complete
 bipartite graphs, the optimal unbalanced families for girth 6 and 8, and
 two finite-geometry incidence graphs over prime fields: the projective
 plane PG(2, q) (girth 6) and the symplectic generalized quadrangle W(q)
-(girth 8).  Prime fields only; extension fields are a noted extension
-point.
+(girth 8).
 
 Every generator is deterministic, so outputs are reproducible
 byte-for-byte.
@@ -13,144 +12,34 @@ byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
+from math import isqrt
 
 from .graphcore import BipartiteGraph, Graph, from_edges
 
 
 __all__ = [
-    "CanonicalLine",
-    "PrimeField",
-    "ProjectivePoint",
     "complete_bipartite",
     "expand",
     "grid_incidence",
     "pg2_incidence",
-    "projective_points",
     "unbalanced6",
     "unbalanced8",
     "wq_incidence",
 ]
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic mod a prime q on canonical representatives 0..q-1."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.q - 2, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Nonzero coordinate vector scaled so its first nonzero entry is 1.
-
-    The normalization is canonical: projectively equal points have
-    identical coordinate tuples.
-    """
-
-    coords: tuple[int, ...]
-
-    @classmethod
-    def normalize(cls, field: PrimeField, coords) -> "ProjectivePoint":
-        vec = [c % field.q for c in coords]
-        lead = next((c for c in vec if c != 0), None)
-        if lead is None:
-            raise ValueError("zero vector has no projective point")
-        scale = field.inv(lead)
-        return cls(tuple(field.mul(scale, c) for c in vec))
-
-
-def projective_points(field: PrimeField, dim: int) -> list[ProjectivePoint]:
-    """All points of PG(dim-1, q) in a fixed lexicographic order."""
-    pts = []
-    for lead in range(dim):
-        tail_len = dim - lead - 1
-        for tail in product(field.elements(), repeat=tail_len):
-            pts.append(ProjectivePoint((0,) * lead + (1,) + tail))
-    return pts
-
-
-def _rref2(field: PrimeField, r1, r2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced row-echelon form of a 2-row matrix over F_q; requires rank 2."""
-    rows = [[c % field.q for c in r1], [c % field.q for c in r2]]
-    n = len(rows[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, 2) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(scale, c) for c in rows[rank]]
-        for r in range(2):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    field.sub(rows[r][c], field.mul(factor, rows[rank][c]))
-                    for c in range(n)
-                ]
-        rank += 1
-        if rank == 2:
-            break
-    if rank != 2:
-        raise ValueError("rows do not span a 2-dimensional subspace")
-    return tuple(rows[0]), tuple(rows[1])
-
-
-@dataclass(frozen=True)
-class CanonicalLine:
-    """A 2-dimensional subspace keyed by its RREF basis, so set-equality
-    of subspaces is plain coordinate equality."""
-
-    basis: tuple[tuple[int, ...], tuple[int, ...]]
-
-    @classmethod
-    def through(cls, field: PrimeField, p1: ProjectivePoint, p2: ProjectivePoint) -> "CanonicalLine":
-        return cls(_rref2(field, p1.coords, p2.coords))
-
-    def points(self, field: PrimeField) -> list[ProjectivePoint]:
-        r1, r2 = self.basis
-        pts = [ProjectivePoint.normalize(field, r2)]
-        for t in field.elements():
-            combo = [field.add(a, field.mul(t, b)) for a, b in zip(r1, r2)]
-            pts.append(ProjectivePoint.normalize(field, combo))
-        return pts
+def _points(q: int, dim: int) -> list[tuple[int, ...]]:
+    """All points of PG(dim-1, q), q prime, as coordinate tuples whose first
+    nonzero entry is 1: ordered by the position of that entry, then
+    lexicographically by the entries after it."""
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"{q} is not prime")
+    return [
+        (0,) * lead + (1,) + tail
+        for lead in range(dim)
+        for tail in product(range(q), repeat=dim - lead - 1)
+    ]
 
 
 def expand(g: Graph) -> BipartiteGraph:
@@ -199,22 +88,14 @@ def pg2_incidence(q: int) -> BipartiteGraph:
     all degrees q + 1, girth 6, and the girth-6 quadratic bound is met
     with equality.  Exercised for prime q up to 13.
     """
-    field = PrimeField(q)
-    pts = projective_points(field, 3)
-    n = len(pts)
-    pairs = []
-    for j, line in enumerate(pts):
-        lc = line.coords
-        for i, pt in enumerate(pts):
-            pc = pt.coords
-            if (pc[0] * lc[0] + pc[1] * lc[1] + pc[2] * lc[2]) % q == 0:
-                pairs.append((i, j))
-    return from_edges(n, n, pairs)
-
-
-def _symplectic(field: PrimeField, x, y) -> int:
-    # Standard nondegenerate alternating form on F_q^4.
-    return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % field.q
+    pts = _points(q, 3)
+    pairs = [
+        (i, j)
+        for j, (l0, l1, l2) in enumerate(pts)
+        for i, (p0, p1, p2) in enumerate(pts)
+        if (p0 * l0 + p1 * l1 + p2 * l2) % q == 0
+    ]
+    return from_edges(len(pts), len(pts), pairs)
 
 
 def wq_incidence(q: int) -> BipartiteGraph:
@@ -222,30 +103,46 @@ def wq_incidence(q: int) -> BipartiteGraph:
 
     Points are all of PG(3, q); lines are the totally isotropic
     2-subspaces of the alternating form x1*y2 - x2*y1 + x3*y4 - x4*y3
-    (by bilinearity, a basis pair vanishing suffices).  v = w =
+    (by bilinearity, two isotropic points span one).  v = w =
     (q+1)(q^2+1), both sides (q+1)-regular, e = (q+1)^2 (q^2+1), girth
     exactly 8, and the cubic bound is met with equality.  Exercised for
     prime q up to 7.
+
+    Lines are numbered in the lexicographic order of the sorted indices of
+    their points, which is the order of their two lowest points.
     """
-    field = PrimeField(q)
-    pts = projective_points(field, 4)
+    pts = _points(q, 4)
     index = {p: i for i, p in enumerate(pts)}
-    lines: dict[CanonicalLine, int] = {}
-    for p1, p2 in combinations(pts, 2):
-        if _symplectic(field, p1.coords, p2.coords) == 0:
-            line = CanonicalLine.through(field, p1, p2)
-            if line not in lines:
-                lines[line] = len(lines)
+    lines = []
+    for a, x in enumerate(pts):
+        covered = set()  # points on the lines through x built so far
+        for b in range(a + 1, len(pts)):
+            y = pts[b]
+            if b in covered or (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q:
+                continue
+            # The line through x and y: x and the points y + t*x.
+            line = {a, b}
+            for t in range(1, q):
+                z = [(c + t * d) % q for c, d in zip(y, x)]
+                inv = pow(next(c for c in z if c), -1, q)
+                line.add(index[tuple(c * inv % q for c in z)])
+            covered |= line
+            if min(line) == a:  # so lines come out sorted, by (a, b)
+                lines.append(tuple(sorted(line)))
     expected = (q + 1) * (q * q + 1)
     if len(lines) != expected:
         raise AssertionError(
             f"isotropic line count {len(lines)} != {expected} for q={q}"
         )
-    pairs = []
-    for line, j in lines.items():
-        for pt in line.points(field):
-            pairs.append((index[pt], j))
+    pairs = [(i, j) for j, line in enumerate(lines) for i in line]
     return from_edges(len(pts), len(lines), pairs)
+
+
+def _expand_with_pendants(base: Graph, w: int) -> BipartiteGraph:
+    """Expansion of ``base`` padded to w W-vertices, the added ones all
+    pendants on V-vertex 0."""
+    pairs = list(expand(base).edges) + [(0, k) for k in range(base.e, w)]
+    return from_edges(base.n, w, pairs)
 
 
 def unbalanced6(v: int, w: int) -> BipartiteGraph:
@@ -260,11 +157,7 @@ def unbalanced6(v: int, w: int) -> BipartiteGraph:
     core = v * (v - 1) // 2
     if w < core:
         raise ValueError(f"w must be >= v(v-1)/2 = {core}, got {w}")
-    base = expand(Graph(v, list(combinations(range(v), 2))))
-    pairs = list(base.edges)
-    for k in range(w - core):
-        pairs.append((0, core + k))
-    return from_edges(v, w, pairs)
+    return _expand_with_pendants(Graph(v, combinations(range(v), 2)), w)
 
 
 def unbalanced8(v: int, w: int) -> BipartiteGraph:
@@ -283,9 +176,4 @@ def unbalanced8(v: int, w: int) -> BipartiteGraph:
     if w < core:
         raise ValueError(f"w must be >= floor(v^2/4) = {core}, got {w}")
     upper = (v + 1) // 2
-    cross = [(a, b) for a in range(upper) for b in range(upper, v)]
-    base = expand(Graph(v, cross))
-    pairs = list(base.edges)
-    for k in range(w - core):
-        pairs.append((0, core + k))
-    return from_edges(v, w, pairs)
+    return _expand_with_pendants(Graph(v, product(range(upper), range(upper, v))), w)

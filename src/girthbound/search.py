@@ -32,11 +32,15 @@ remaining budget being redone in-process with exactly that budget, so
 certificates (including nodes_explored) do not depend on the worker
 count.  The time budget is a shared absolute deadline, checked as each
 subtree starts and every 1024 nodes inside it; at the same points a worker
-ends its subtree once the search has stopped taking results.
+ends its subtree once the search has stopped taking results.  With one
+worker the subtree roots are generated as they are reached, so the
+deadline governs from the start.  ``threads`` is capped by the CPU count
+and the number of subtrees, and a cap of 1 starts no pool.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -234,6 +238,15 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     return best_e, best_edges, nodes, completed
 
 
+def _subtree_roots(v: int, w: int):
+    """The two-edge prefixes in edge order: the second edge in column 0, or
+    opening column 1."""
+    for m1 in range(v):
+        yield from ((m1, m2) for m2 in range(m1 + 1, v))
+        if w >= 2:
+            yield from ((m1, m2) for m2 in range(v, 2 * v))
+
+
 def _edge_pair(v: int, m: int) -> tuple[int, int]:
     j, i = divmod(m, v)
     return i, j
@@ -270,35 +283,31 @@ def _search(
     start = time.monotonic()
     deadline = start + max_seconds
 
-    # Depth 0..2 by hand: the root, the single-edge graphs (canonical form
-    # puts the first edge in column 0), then the two-edge subtree roots in
-    # edge order.
-    tasks: list[tuple[int, int]] = []
-    for m1 in range(v):
-        tasks.extend((m1, m2) for m2 in range(m1 + 1, v))  # second edge in column 0
-        if w >= 2:
-            tasks.extend((m1, m2) for m2 in range(v, 2 * v))  # second edge opens column 1
-
     def args(prefix, budget):
         return (v, w, min_girth, prefix, cap, budget, deadline)
 
-    nodes = min(1 + v, max_nodes)  # the root and the single-edge graphs
+    # Depth 0..2 by hand: the root, the single-edge graphs (canonical form
+    # puts the first edge in column 0), then the two-edge subtree roots in
+    # edge order, generated only when the budget leaves room for them.
+    nodes = min(1 + v, max_nodes)
     best_e, best_edges = (1, (0,)) if nodes > 1 else (0, ())
     exhaustive = nodes == 1 + v
-    if not exhaustive:
-        tasks.clear()
+    n_tasks = (v * (v - 1) // 2 + (v * v if w >= 2 else 0)) if exhaustive else 0
+    tasks = _subtree_roots(v, w) if n_tasks else ()
+    workers = min(threads, os.cpu_count() or 1, n_tasks)
 
     pool = None
-    if threads > 1 and tasks:
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # One subtree per work item, so results arrive in task order and a
         # stop leaves little queued work to cancel.  Workers get the whole
         # budget; a result that overruns what is left is redone in-process.
+        tasks = list(tasks)
         stop_event = multiprocessing.Event()
         pool = ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(stop_event,)
+            max_workers=workers, initializer=_init_worker, initargs=(stop_event,)
         )
         futures = [pool.submit(_explore_subtree, args(prefix, max_nodes)) for prefix in tasks]
     try:

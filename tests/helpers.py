@@ -7,9 +7,13 @@ is evidence, not tautology.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import random
 from collections import deque
+from concurrent.futures import Future
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 from girthbound.graphcore import BipartiteGraph, Graph, from_edges
@@ -273,3 +277,31 @@ def random_rational_matrix(rng: random.Random, v: int, w: int, value_cap: int = 
 
 def random_fraction_upto(rng: random.Random, hi: Fraction, steps: int = 16) -> Fraction:
     return hi * rng.randint(0, steps) / steps
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor without starting any process: it
+    records the worker count it was asked for in ``requested`` and runs
+    each submitted call at once, in the calling process."""
+
+    def __init__(self, requested: list, max_workers: int, initializer=None, initargs=()):
+        requested.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        pass
+
+
+def record_pools(monkeypatch, cpus) -> list:
+    """Replace ProcessPoolExecutor by InlinePool and os.cpu_count() by
+    ``cpus``; return the list that collects each pool's worker count."""
+    requested: list = []
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return requested

@@ -4,6 +4,7 @@ import pytest
 
 from girthbound.cli import main
 from girthbound import graphcore
+from helpers import record_pools
 
 
 def run(capsys, *argv):
@@ -169,6 +170,25 @@ class TestConstructVerifyRoundTrip:
         )
         assert code == 2 and err.startswith("error:") and "field 'n' must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["grid"], "grid requires --t"),
+            (["pg2"], "pg2 requires --q"),
+            (["wq", "--t", "2"], "wq requires --q"),
+            (["complete", "--a", "2"], "complete requires --a and --b"),
+            (["expand"], "expand requires --input"),
+            (["unbalanced6", "--w", "10"], "unbalanced6 requires --v and --w"),
+            (["unbalanced8", "--v", "4"], "unbalanced8 requires --v and --w"),
+        ],
+    )
+    def test_missing_flag_is_a_usage_error(self, capsys, tmp_path, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", *argv, "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"girthbound: error: {message}\n")
+        assert not (tmp_path / "x.json").exists()
+
     def test_nonprime_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "construct", "pg2", "--q", "6", "--out", str(tmp_path / "x.json")
@@ -259,6 +279,16 @@ class TestSearch:
         )
         payload = json.loads(out)
         assert code == 0 and payload["e_max"] == 8
+
+
+    def test_threads_beyond_the_cpu_count(self, capsys, monkeypatch):
+        # The pool is replaced before the call, so no process is started.
+        requested = record_pools(monkeypatch, 4)
+        code, out, _ = run(
+            capsys, "search", "--v", "2", "--w", "2", "--girth", "8", "--threads", "100000"
+        )
+        assert code == 0 and json.loads(out)["e_max"] == 3
+        assert requested == [4]
 
 
 class TestTable:

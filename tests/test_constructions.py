@@ -23,18 +23,19 @@ CONSTRUCTIONS = Path(__file__).parent / "data" / "constructions.json"
 
 
 def pinned_members():
-    """(name, builder) for every family member whose edge list is pinned."""
-    members = [(f"pg2_incidence({q})", lambda q=q: cn.pg2_incidence(q)) for q in (2, 3, 5, 7, 11, 13)]
-    members += [(f"wq_incidence({q})", lambda q=q: cn.wq_incidence(q)) for q in (2, 3, 5, 7)]
-    members += [(f"grid_incidence({t})", lambda t=t: cn.grid_incidence(t)) for t in range(7)]
+    """(name, graph) for every family member whose edge list is pinned."""
+    calls = [(cn.pg2_incidence, q) for q in (2, 3, 5, 7, 11, 13)]
+    calls += [(cn.wq_incidence, q) for q in (2, 3, 5, 7)]
+    calls += [(cn.grid_incidence, t) for t in range(7)]
     for v in range(1, 7):
         lo = v * (v - 1) // 2
-        members += [(f"unbalanced6({v}, {w})", lambda v=v, w=w: cn.unbalanced6(v, w)) for w in range(max(lo, 1), lo + 6)]
+        calls += [(cn.unbalanced6, v, w) for w in range(max(lo, 1), lo + 6)]
     for v in range(2, 7):
         lo = v * v // 4
-        members += [(f"unbalanced8({v}, {w})", lambda v=v, w=w: cn.unbalanced8(v, w)) for w in range(lo, lo + 6)]
-    members += [(f"complete_bipartite({a}, {b})", lambda a=a, b=b: cn.complete_bipartite(a, b)) for a, b in ((1, 3), (2, 2), (3, 4))]
-    members.append(("expand(K_4)", lambda: cn.expand(Graph(4, list(combinations(range(4), 2))))))
+        calls += [(cn.unbalanced8, v, w) for w in range(lo, lo + 6)]
+    calls += [(cn.complete_bipartite, a, b) for a, b in ((1, 3), (2, 2), (3, 4))]
+    members = [(f"{f.__name__}({', '.join(map(str, args))})", f(*args)) for f, *args in calls]
+    members.append(("expand(K_4)", cn.expand(Graph(4, combinations(range(4), 2)))))
     return members
 
 
@@ -46,53 +47,48 @@ def test_edge_lists_match_the_pinned_hashes():
     pinned = json.loads(CONSTRUCTIONS.read_text())
     members = pinned_members()
     assert sorted(pinned) == sorted(name for name, _ in members)
-    for name, build in members:
-        assert edge_list_hash(build()) == pinned[name], name
+    for name, g in members:
+        assert edge_list_hash(g) == pinned[name], name
 
 
-class TestPrimeField:
-    def test_rejects_composites(self):
-        for q in (0, 1, 4, 6, 9, 15):
-            with pytest.raises(ValueError, match="not prime"):
-                cn.PrimeField(q)
-
-    def test_inverses(self):
-        for q in (2, 3, 5, 7, 11, 13):
-            f = cn.PrimeField(q)
-            for a in range(1, q):
-                assert f.mul(a, f.inv(a)) == 1
-            with pytest.raises(ZeroDivisionError):
-                f.inv(0)
-
-    def test_arithmetic(self):
-        f = cn.PrimeField(7)
-        assert f.add(5, 4) == 2 and f.sub(2, 5) == 4
-        assert f.mul(3, 5) == 1 and f.neg(3) == 4
+def normalize(vec, q):
+    lead = next(c for c in vec if c % q)
+    inv = pow(lead, -1, q)
+    return tuple(c * inv % q for c in vec)
 
 
 class TestProjectiveSpace:
     def test_point_counts(self):
-        for q in (2, 3, 5):
-            f = cn.PrimeField(q)
-            assert len(cn.projective_points(f, 3)) == q * q + q + 1
-            assert len(cn.projective_points(f, 4)) == (q + 1) * (q * q + 1)
+        for q in (2, 3, 5, 7):
+            assert len(cn._points(q, 3)) == q * q + q + 1
+            assert len(cn._points(q, 4)) == (q + 1) * (q * q + 1)
 
     def test_normalization_canonical(self):
-        f = cn.PrimeField(5)
-        p = cn.ProjectivePoint.normalize(f, (2, 3, 4))
-        p2 = cn.ProjectivePoint.normalize(f, (4, 6, 8))
-        assert p == p2 and p.coords[0] == 1
-
-    def test_zero_vector_rejected(self):
-        f = cn.PrimeField(3)
-        with pytest.raises(ValueError):
-            cn.ProjectivePoint.normalize(f, (0, 0, 0))
+        # Every nonzero vector is a multiple of exactly one listed point,
+        # and every listed point has leading entry 1.
+        for q, dim in ((2, 3), (3, 4), (5, 3), (5, 4)):
+            pts = cn._points(q, dim)
+            assert all(normalize(p, q) == p for p in pts)
+            multiples = [tuple(s * c % q for c in p) for p in pts for s in range(1, q)]
+            assert len(set(multiples)) == len(multiples) == q ** dim - 1
 
     def test_line_has_q_plus_1_points(self):
-        f = cn.PrimeField(5)
-        pts = cn.projective_points(f, 4)
-        line = cn.CanonicalLine.through(f, pts[0], pts[1])
-        assert len(set(line.points(f))) == 6
+        # Each line of W(q) is the point set of a totally isotropic
+        # 2-subspace: q + 1 points, all spanned by any two of them.
+        for q in (2, 3, 5):
+            pts = cn._points(q, 4)
+            g = cn.wq_incidence(q)
+            for nbrs in g.adj_w:
+                line = {pts[i] for i in nbrs}
+                x, y = pts[nbrs[0]], pts[nbrs[-1]]
+                assert (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q == 0
+                span = {
+                    normalize([s * a + t * b for a, b in zip(x, y)], q)
+                    for s in range(q)
+                    for t in range(q)
+                    if s or t
+                }
+                assert span == line and len(line) == q + 1
 
 
 class TestExpand:
@@ -179,7 +175,7 @@ class TestProjectivePlane:
         assert (g.v, g.w, g.e) == (7, 7, 21)
 
     def test_rejects_prime_powers_and_composites(self):
-        for q in (4, 6, 8, 9):
+        for q in (-3, 0, 1, 4, 6, 8, 9, 15):
             with pytest.raises(ValueError, match="not prime"):
                 cn.pg2_incidence(q)
 
@@ -201,7 +197,7 @@ class TestSymplecticQuadrangle:
     def test_tutte_coxeter(self):
         g = cn.wq_incidence(2)
         assert (g.v, g.w, g.e) == (15, 15, 45)
-        assert g.w == 15  # isotropic line enumeration with RREF dedup
+        assert g.w == 15  # one W-vertex per isotropic line
 
     def test_wq3_equality_numbers(self):
         g = cn.wq_incidence(3)
@@ -209,8 +205,9 @@ class TestSymplecticQuadrangle:
         assert eval_cubic(40, 40, 160) == 0
 
     def test_rejects_composites(self):
-        with pytest.raises(ValueError, match="not prime"):
-            cn.wq_incidence(4)
+        for q in (-3, 0, 1, 4, 6, 9, 15):
+            with pytest.raises(ValueError, match="not prime"):
+                cn.wq_incidence(q)
 
     def test_deterministic(self):
         assert cn.wq_incidence(2).edges == cn.wq_incidence(2).edges

@@ -2,6 +2,7 @@ import json
 import random
 import threading
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from girthbound import bounds, search
 from girthbound.graphcore import contract, from_edges, girth
 from girthbound.search import BudgetExhausted, certify_bound, max_size
-from helpers import short_path_exists
+from helpers import record_pools, short_path_exists
 
 # e_max and witness edges for every (v, w) with v*w <= 30 at girths 6 and 8,
 # as the search returned them before it stopped at the least proven bound.
@@ -272,6 +273,50 @@ class TestDeterminismAndBudgets:
         assert not cert.exhaustive
         assert cert.nodes_explored == max_nodes
         assert cert.witness.e == cert.e_max
+
+    def test_spent_budget_builds_no_subtree(self):
+        # The root and the 1000 single-edge graphs already exceed 10 nodes,
+        # so none of the ~1.5 million subtree roots may be built.
+        tracemalloc.start()
+        try:
+            cert = max_size(1000, 3, 8, max_nodes=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (10, 1, False)
+        assert peak < 1 << 20
+
+    def test_subtree_roots_are_generated_as_they_run(self, monkeypatch):
+        # A search that ends in its first subtree holds no list of the rest.
+        monkeypatch.setattr(search, "_explore_subtree", lambda args: (2, args[3], 1, False))
+        tracemalloc.start()
+        try:
+            cert = max_size(1000, 3, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (1002, 2, False)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "v,w,threads,cpus,pools",
+        [
+            (2, 2, 100_000, 4, [4]),  # capped by the CPU count
+            (2, 2, 100_000, None, []),  # CPU count unknown: one worker, no pool
+            (2, 2, 8, 8, [5]),  # capped by the 1 + 4 subtrees
+            (2, 1, 8, 8, []),  # a single subtree: no pool
+            (6, 4, 3, 8, [3]),
+            (6, 4, 1, 8, []),
+        ],
+    )
+    def test_worker_count(self, monkeypatch, v, w, threads, cpus, pools):
+        one = max_size(v, w, 8)
+        requested = record_pools(monkeypatch, cpus)
+        cert = max_size(v, w, 8, threads=threads)
+        assert requested == pools
+        assert (cert.e_max, cert.witness, cert.nodes_explored, cert.exhaustive) == (
+            one.e_max, one.witness, one.nodes_explored, one.exhaustive
+        )
 
     def test_certify_raises_on_budget(self):
         with pytest.raises(BudgetExhausted):
