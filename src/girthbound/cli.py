@@ -96,30 +96,52 @@ def _load_uncoloured(path: str) -> graphcore.Graph:
     return graphcore.Graph(n, [tuple(pair) for pair in obj["edges"]])
 
 
-# Each construct kind: its builder and the flags it requires, passed to the
-# builder in this order and named in the summary label.
+def _regular(n: int, d: int) -> tuple[int, int, int]:
+    """(v, w, e) of a d-regular bipartite graph with n vertices per class."""
+    return n, n, n * d
+
+
+# Each construct kind: its builder, the flags it requires, passed to the
+# builder in this order and named in the summary label, and the member's
+# (v, w, e) as a function of those flags, checked before anything is built.
+# expand has none: _load_uncoloured limits its n, and its edges come from a
+# file already in memory.
 _CONSTRUCT_KINDS = {
-    "grid": (constructions.grid_incidence, ("t",)),
-    "pg2": (constructions.pg2_incidence, ("q",)),
-    "wq": (constructions.wq_incidence, ("q",)),
-    "complete": (constructions.complete_bipartite, ("a", "b")),
-    "expand": (lambda path: constructions.expand(_load_uncoloured(path)), ("input",)),
-    "unbalanced6": (constructions.unbalanced6, ("v", "w")),
-    "unbalanced8": (constructions.unbalanced8, ("v", "w")),
+    "grid": (
+        constructions.grid_incidence,
+        ("t",),
+        lambda t: ((t + 1) ** 2, 2 * (t + 1), 2 * (t + 1) ** 2),
+    ),
+    "pg2": (constructions.pg2_incidence, ("q",), lambda q: _regular(q * q + q + 1, q + 1)),
+    "wq": (constructions.wq_incidence, ("q",), lambda q: _regular((q + 1) * (q * q + 1), q + 1)),
+    "complete": (constructions.complete_bipartite, ("a", "b"), lambda a, b: (a, b, a * b)),
+    "expand": (lambda path: constructions.expand(_load_uncoloured(path)), ("input",), None),
+    "unbalanced6": (
+        constructions.unbalanced6,
+        ("v", "w"),
+        lambda v, w: (v, w, v * (v - 1) // 2 + w),
+    ),
+    "unbalanced8": (constructions.unbalanced8, ("v", "w"), lambda v, w: (v, w, v * v // 4 + w)),
 }
 
 
 def _cmd_construct(args, parser) -> int:
-    build, flags = _CONSTRUCT_KINDS[args.kind]
+    build, flags, size = _CONSTRUCT_KINDS[args.kind]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         parser.error(f"{args.kind} requires " + " and ".join(f"--{flag}" for flag in flags))
+    label = " ".join([args.kind] + [f"{flag}={value}" for flag, value in zip(flags, values)])
+    if size is not None:
+        v, w, e = size(*values)
+        limit = graphcore.MAX_JSON_CLASS_SIZE
+        if max(v, w, e) > limit:
+            print(f"error: {label} has v={v} w={w} e={e}, over the limit {limit}", file=sys.stderr)
+            return 2
     try:
         g = build(*values)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    label = " ".join([args.kind] + [f"{flag}={value}" for flag, value in zip(flags, values)])
     try:
         with open(args.out, "w") as fh:
             json.dump(graphcore.to_json(g), fh)
@@ -203,7 +225,7 @@ def _add_search_parser(sub) -> None:
 def _cmd_search(args, parser) -> int:
     if args.v < 1 or args.w < 1:
         parser.error("--v and --w must be >= 1")
-    if args.nodes < 1 or args.timeout <= 0 or args.threads < 1:
+    if args.nodes < 1 or not args.timeout > 0 or args.threads < 1:
         parser.error("--nodes, --timeout and --threads must be positive")
     cert = search.max_size(
         args.v,
@@ -268,13 +290,10 @@ def _cmd_table(args, parser) -> int:
                 "gap": None,
             }
             if args.with_search:
-                try:
-                    cert = search.max_size(v, w, args.girth)
-                    if cert.exhaustive:
-                        row["search"] = cert.e_max
-                        row["gap"] = report.binding_value - cert.e_max
-                except ValueError:
-                    pass
+                cert = search.max_size(v, w, args.girth)
+                if cert.exhaustive:
+                    row["search"] = cert.e_max
+                    row["gap"] = report.binding_value - cert.e_max
             rows.append(row)
     if args.fmt == "csv":
         print(",".join(columns))

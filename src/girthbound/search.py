@@ -30,19 +30,21 @@ stops at the first subtree cut short.  Each subtree is self-contained and
 workers' results are taken in the same order, a result that overran the
 remaining budget being redone in-process with exactly that budget, so
 certificates (including nodes_explored) do not depend on the worker
-count.  The time budget is a shared absolute deadline, checked as each
-subtree starts and every 1024 nodes inside it; at the same points a worker
-ends its subtree once the search has stopped taking results.  With one
-worker the subtree roots are generated as they are reached, so the
-deadline governs from the start.  ``threads`` is capped by the CPU count
-and the number of subtrees, and a cap of 1 starts no pool.
+count.  Subtree roots are generated as they are reached, for any worker
+count: a pool is fed them only as its workers take them, and its workers
+are terminated once the search stops.  The time budget is a shared
+absolute deadline, checked as each subtree starts and every 1024 nodes
+inside it.  ``threads`` is capped by the CPU count and the number of
+subtrees, and a cap of 1 starts no pool.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import bounds, graphcore
 from .graphcore import BipartiteGraph
@@ -60,20 +62,7 @@ __all__ = [
 DEFAULT_MAX_NODES = 10 ** 8
 DEFAULT_MAX_SECONDS = 60.0
 
-_TIME_CHECK_MASK = 0x3FF  # poll the clock and the stop event every 1024 nodes
-
-# In a pool worker, the event the parent sets once it has stopped taking
-# results, so that subtrees already handed out end early; None elsewhere.
-_stop_event = None
-
-
-def _init_worker(stop_event) -> None:
-    global _stop_event
-    _stop_event = stop_event
-
-
-def _should_stop(deadline: float) -> bool:
-    return time.monotonic() > deadline or (_stop_event is not None and _stop_event.is_set())
+_TIME_CHECK_MASK = 0x3FF  # poll the clock every 1024 nodes
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,7 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     v, w, min_girth, prefix, cap, max_nodes, deadline = args
     best_e = len(prefix)
     best_edges = tuple(prefix)
-    if _should_stop(deadline):
+    if time.monotonic() > deadline:
         return best_e, best_edges, 0, False
     total_edges = v * w
     amask_w = [0] * w  # V-neighbour bitmasks per W-vertex
@@ -173,7 +162,7 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
             completed = False
             return
         nodes += 1
-        if nodes & _TIME_CHECK_MASK == 0 and _should_stop(deadline):
+        if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             completed = False
             return
         if e_cur > best_e:
@@ -259,7 +248,7 @@ def _validate(
         raise ValueError(f"class sizes must be >= 1, got v={v} w={w}")
     if min_girth not in (6, 8):
         raise ValueError(f"min_girth must be 6 or 8, got {min_girth}")
-    if max_nodes < 1 or max_seconds <= 0:
+    if max_nodes < 1 or not max_seconds > 0:  # NaN fails this test too
         raise ValueError("budgets must be positive")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -296,26 +285,25 @@ def _search(
     tasks = _subtree_roots(v, w) if n_tasks else ()
     workers = min(threads, os.cpu_count() or 1, n_tasks)
 
-    pool = None
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        results = repeat(None)  # None: explore the subtree in-process
+        if workers > 1:
+            import multiprocessing
 
-        # One subtree per work item, so results arrive in task order and a
-        # stop leaves little queued work to cancel.  Workers get the whole
-        # budget; a result that overruns what is left is redone in-process.
-        tasks = list(tasks)
-        stop_event = multiprocessing.Event()
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(stop_event,)
-        )
-        futures = [pool.submit(_explore_subtree, args(prefix, max_nodes)) for prefix in tasks]
-    try:
-        for k, prefix in enumerate(tasks):
+            # imap feeds the pool subtree roots only as its workers take
+            # them and returns their results in task order; leaving the
+            # block terminates the workers still exploring.  Workers get the
+            # whole budget; a result that overruns what is left is redone
+            # in-process.
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            results = pool.imap(
+                _explore_subtree, (args(prefix, max_nodes) for prefix in _subtree_roots(v, w))
+            )
+        for prefix in tasks:
             if best_e >= cap:
                 break  # the best graph meets a proven bound, so it is optimal
             budget = max_nodes - nodes
-            result = futures[k].result() if pool else None
+            result = next(results)
             if result is None or result[2] > budget:
                 result = _explore_subtree(args(prefix, budget))
             sub_best, sub_edges, sub_nodes, sub_done = result
@@ -325,10 +313,6 @@ def _search(
             if not sub_done:
                 exhaustive = False
                 break
-    finally:
-        if pool is not None:
-            stop_event.set()  # every result still to come is discarded
-            pool.shutdown(cancel_futures=True)
     assert nodes <= max_nodes
 
     witness = graphcore.from_edges(v, w, [_edge_pair(v, m) for m in best_edges])

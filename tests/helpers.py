@@ -7,13 +7,11 @@ is evidence, not tautology.
 
 from __future__ import annotations
 
-import concurrent.futures
+import multiprocessing
 import os
 import random
 from collections import deque
-from concurrent.futures import Future
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, permutations
 
 from girthbound.graphcore import BipartiteGraph, Graph, from_edges
@@ -280,28 +278,33 @@ def random_fraction_upto(rng: random.Random, hi: Fraction, steps: int = 16) -> F
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor without starting any process: it
-    records the worker count it was asked for in ``requested`` and runs
-    each submitted call at once, in the calling process."""
+    """Stands in for multiprocessing.Pool without starting any process: it
+    records the worker count it was asked for in ``processes``, maps lazily
+    in the calling process, and records in ``exited`` that its context was
+    left."""
 
-    def __init__(self, requested: list, max_workers: int, initializer=None, initargs=()):
-        requested.append(max_workers)
+    imap = staticmethod(map)
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def __init__(self, processes: int):
+        self.processes = processes
+        self.exited = False
 
-    def shutdown(self, cancel_futures: bool = False) -> None:
-        pass
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.exited = True
 
 
 def record_pools(monkeypatch, cpus) -> list:
-    """Replace ProcessPoolExecutor by InlinePool and os.cpu_count() by
-    ``cpus``; return the list that collects each pool's worker count."""
-    requested: list = []
-    monkeypatch.setattr(
-        concurrent.futures, "ProcessPoolExecutor", partial(InlinePool, requested)
-    )
+    """Replace multiprocessing.Pool by InlinePool and os.cpu_count() by
+    ``cpus``; return the list that collects each pool made."""
+    pools: list = []
+
+    def make(processes):
+        pools.append(InlinePool(processes))
+        return pools[-1]
+
+    monkeypatch.setattr(multiprocessing, "Pool", make)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return requested
+    return pools

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from girthbound.cli import main
-from girthbound import graphcore
+from girthbound import cli, graphcore
 from helpers import record_pools
 
 
@@ -189,6 +189,45 @@ class TestConstructVerifyRoundTrip:
         assert capsys.readouterr().err.endswith(f"girthbound: error: {message}\n")
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid", "--t", "100000"],
+            ["complete", "--a", "100000", "--b", "100000"],
+            ["wq", "--q", "100003"],
+            ["pg2", "--q", "1009"],
+            ["unbalanced6", "--v", "100000", "--w", str(10 ** 10)],
+        ],
+    )
+    def test_oversize_member_is_refused_before_it_is_built(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        def refuse(*args):
+            raise AssertionError("construct built an oversize graph")
+
+        for kind, (build, flags, size) in list(cli._CONSTRUCT_KINDS.items()):
+            monkeypatch.setitem(cli._CONSTRUCT_KINDS, kind, (refuse, flags, size))
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "construct", *argv, "--out", str(out))
+        assert code == 2 and err.startswith("error:") and "over the limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,values",
+        [
+            ("grid", (0,)), ("grid", (1,)), ("grid", (4,)),
+            ("pg2", (2,)), ("pg2", (3,)), ("pg2", (5,)),
+            ("wq", (2,)), ("wq", (3,)),
+            ("complete", (1, 1)), ("complete", (2, 5)), ("complete", (4, 3)),
+            ("unbalanced6", (1, 0)), ("unbalanced6", (3, 3)), ("unbalanced6", (4, 10)),
+            ("unbalanced8", (2, 1)), ("unbalanced8", (4, 4)), ("unbalanced8", (5, 9)),
+        ],
+    )
+    def test_size_matches_the_built_member(self, kind, values):
+        build, _, size = cli._CONSTRUCT_KINDS[kind]
+        g = build(*values)
+        assert size(*values) == (g.v, g.w, g.e)
+
     def test_nonprime_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "construct", "pg2", "--q", "6", "--out", str(tmp_path / "x.json")
@@ -283,12 +322,19 @@ class TestSearch:
 
     def test_threads_beyond_the_cpu_count(self, capsys, monkeypatch):
         # The pool is replaced before the call, so no process is started.
-        requested = record_pools(monkeypatch, 4)
+        pools = record_pools(monkeypatch, 4)
         code, out, _ = run(
             capsys, "search", "--v", "2", "--w", "2", "--girth", "8", "--threads", "100000"
         )
         assert code == 0 and json.loads(out)["e_max"] == 3
-        assert requested == [4]
+        assert [p.processes for p in pools] == [4]
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_timeout_must_be_positive(self, capsys, timeout):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--v", "3", "--w", "3", "--timeout", timeout])
+        assert exc.value.code == 2
+        assert "--timeout and --threads must be positive" in capsys.readouterr().err
 
 
 class TestTable:

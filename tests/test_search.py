@@ -1,6 +1,7 @@
 import json
+import multiprocessing
+import os
 import random
-import threading
 import time
 import tracemalloc
 from math import comb
@@ -251,12 +252,16 @@ class TestDeterminismAndBudgets:
             assert one.witness == two.witness
             assert one.exhaustive == two.exhaustive
 
-    def test_worker_ends_its_subtree_once_the_search_stops(self, monkeypatch):
-        stop = threading.Event()
-        stop.set()
-        monkeypatch.setattr(search, "_stop_event", stop)
-        args = (6, 7, 8, (0, 1), 15, 10 ** 8, time.monotonic() + 60)
-        assert search._explore_subtree(args)[2:] == (0, False)
+    def test_pool_is_fed_only_as_its_workers_take_subtrees(self, monkeypatch):
+        # A real pool of two workers on about 135,000 subtree roots: were
+        # every root handed out before the first result is taken, the search
+        # would overrun its 0.05 s budget by seconds.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        start = time.monotonic()
+        cert = max_size(300, 3, 8, threads=2, max_seconds=0.05)
+        assert time.monotonic() - start < 1.0
+        assert not cert.exhaustive
+        assert multiprocessing.active_children() == []  # the workers were ended
 
     def test_node_budget_exhaustion(self):
         cert = max_size(8, 3, 8, max_nodes=50)
@@ -298,6 +303,22 @@ class TestDeterminismAndBudgets:
         assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (1002, 2, False)
         assert peak < 1 << 20
 
+    def test_subtree_roots_are_generated_as_workers_take_them(self, monkeypatch):
+        # The same with a pool: it is fed lazily, and it is left once the
+        # first subtree ends the search.  A list of the 59,900 roots alone
+        # would exceed the bound.
+        monkeypatch.setattr(search, "_explore_subtree", lambda args: (2, args[3], 1, False))
+        pools = record_pools(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            cert = max_size(200, 3, 8, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (202, 2, False)
+        assert peak < 1 << 20
+        assert [(p.processes, p.exited) for p in pools] == [(2, True)]
+
     @pytest.mark.parametrize(
         "v,w,threads,cpus,pools",
         [
@@ -311,9 +332,10 @@ class TestDeterminismAndBudgets:
     )
     def test_worker_count(self, monkeypatch, v, w, threads, cpus, pools):
         one = max_size(v, w, 8)
-        requested = record_pools(monkeypatch, cpus)
+        made = record_pools(monkeypatch, cpus)
         cert = max_size(v, w, 8, threads=threads)
-        assert requested == pools
+        assert [p.processes for p in made] == pools
+        assert all(p.exited for p in made)
         assert (cert.e_max, cert.witness, cert.nodes_explored, cert.exhaustive) == (
             one.e_max, one.witness, one.nodes_explored, one.exhaustive
         )
@@ -331,3 +353,12 @@ class TestDeterminismAndBudgets:
             max_size(3, 3, 8, threads=0)
         with pytest.raises(ValueError):
             max_size(3, 3, 8, max_nodes=0)
+
+    @pytest.mark.parametrize("call", [max_size, certify_bound])
+    @pytest.mark.parametrize("max_seconds", [0.0, -1.0, float("nan")])
+    def test_time_budget_must_be_positive(self, call, max_seconds):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            call(3, 3, 8, max_seconds=max_seconds)
+
+    def test_infinite_time_budget_sets_no_deadline(self):
+        assert max_size(6, 5, 8, max_seconds=float("inf")).exhaustive
