@@ -1,16 +1,21 @@
 """Command-line surface: bounds, constructions, verification, search, tables.
 
-Exit codes follow a CI-friendly contract: 0 = all checks pass, 1 = a
-mathematical expectation failed, 2 = usage or IO error.  All output is
+Exit codes: 0 = all checks pass, 1 = a mathematical expectation failed,
+2 = usage or IO error.  argparse owns the shape of the command line and
+exits 2 with its usage message; the library decides which values are
+valid (``bound --v 0`` and ``search --timeout nan`` are its to refuse) and
+raises ValueError; :func:`main` turns any OSError or ValueError, a closed
+stdout included, into one ``error:`` line and exit 2.  Output is
 deterministic given the flags (search certificates additionally given
-budgets), so stdout can be pinned in golden tests.  In JSON output, bound
-values are serialized as decimal strings to sidestep 64-bit consumers.
+budgets), so stdout can be pinned in golden tests; JSON bound values are
+decimal strings, which sidesteps 64-bit consumers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -32,8 +37,6 @@ def _add_bound_parser(sub) -> None:
 
 
 def _cmd_bound(args, parser) -> int:
-    if args.v < 1 or args.w < 1:
-        parser.error("--v and --w must be >= 1")
     if args.girth == 6 and args.method in ("cubic", "cap"):
         parser.error(f"method {args.method!r} applies only to girth 8")
     report = bounds.bound_report(args.v, args.w, args.girth)
@@ -83,9 +86,17 @@ def _add_construct_parser(sub) -> None:
     p.set_defaults(func=_cmd_construct)
 
 
+def _read_json(path: str):
+    """The parsed JSON file at path; nesting too deep to parse is a ValueError."""
+    with open(path, "rb") as fh:  # as bytes: json, not the locale, picks the codec
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def _load_uncoloured(path: str) -> graphcore.Graph:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('uncoloured graph JSON needs fields "n" and "edges"')
     n, limit = obj["n"], graphcore.MAX_JSON_CLASS_SIZE
@@ -93,7 +104,7 @@ def _load_uncoloured(path: str) -> graphcore.Graph:
         raise ValueError(
             f"uncoloured graph JSON field 'n' must be an integer <= {limit}, got {n!r}"
         )
-    return graphcore.Graph(n, [tuple(pair) for pair in obj["edges"]])
+    return graphcore.Graph(n, graphcore.pairs_from_json(obj["edges"]))
 
 
 def _regular(n: int, d: int) -> tuple[int, int, int]:
@@ -135,20 +146,11 @@ def _cmd_construct(args, parser) -> int:
         v, w, e = size(*values)
         limit = graphcore.MAX_JSON_CLASS_SIZE
         if max(v, w, e) > limit:
-            print(f"error: {label} has v={v} w={w} e={e}, over the limit {limit}", file=sys.stderr)
-            return 2
-    try:
-        g = build(*values)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.out, "w") as fh:
-            json.dump(graphcore.to_json(g), fh)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"{label} has v={v} w={w} e={e}, over the limit {limit}")
+    g = build(*values)
+    with open(args.out, "w") as fh:
+        json.dump(graphcore.to_json(g), fh)
+        fh.write("\n")
     rep = graphcore.girth(g)
     girth_str = "acyclic" if rep.girth is None else str(rep.girth)
     print(f"{label}: v={g.v} w={g.w} e={g.e} girth={girth_str}")
@@ -171,13 +173,7 @@ def _degree_summary(degs) -> str:
 
 
 def _cmd_verify(args, parser) -> int:
-    try:
-        with open(args.path) as fh:
-            obj = json.load(fh)
-        g = graphcore.from_json(obj)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = graphcore.from_json(_read_json(args.path))
     rep = graphcore.girth(g)
     girth_str = "acyclic" if rep.girth is None else str(rep.girth)
     flag = lambda b: "yes" if b else "no"
@@ -223,10 +219,6 @@ def _add_search_parser(sub) -> None:
 
 
 def _cmd_search(args, parser) -> int:
-    if args.v < 1 or args.w < 1:
-        parser.error("--v and --w must be >= 1")
-    if args.nodes < 1 or not args.timeout > 0 or args.threads < 1:
-        parser.error("--nodes, --timeout and --threads must be positive")
     cert = search.max_size(
         args.v,
         args.w,
@@ -326,16 +318,11 @@ def _cmd_awm(args, parser) -> int:
         gamma = Fraction(args.gamma)
     except (ValueError, ZeroDivisionError):
         parser.error("--rho and --gamma must be rationals like 4 or 3/2")
-    try:
-        with open(args.path) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict) or "rows" not in obj:
-            raise ValueError('matrix JSON needs a "rows" field')
-        m = meanineq.NonnegMatrix(obj["rows"])
-        verdict = meanineq.check(m, rho, gamma)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obj = _read_json(args.path)
+    if not isinstance(obj, dict) or "rows" not in obj:
+        raise ValueError('matrix JSON needs a "rows" field')
+    m = meanineq.NonnegMatrix(obj["rows"])
+    verdict = meanineq.check(m, rho, gamma)
     flag = lambda b: "true" if b else "false"
     print(f"matrix: {m.v}x{m.w} e={m.total}")
     print(f"rho={rho} gamma={gamma}")
@@ -366,7 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the flush at exit goes to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

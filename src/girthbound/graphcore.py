@@ -26,6 +26,7 @@ __all__ = [
     "from_edges",
     "from_json",
     "girth",
+    "pairs_from_json",
     "prune_min_degree",
     "to_json",
     "verify_weak_gq",
@@ -387,6 +388,25 @@ def to_json(g: BipartiteGraph) -> dict:
     return {"v": g.v, "w": g.w, "edges": [[i, j] for i, j in g.edges]}
 
 
+def pairs_from_json(edges) -> list[tuple[int, int]]:
+    """The pairs of a JSON edge array whose every entry is [int, int].
+
+    Shared by :func:`from_json` and the uncoloured graph JSON that
+    ``construct expand`` reads.  Bools and floats are refused, not taken as
+    vertex ids.
+    """
+    if not isinstance(edges, list):
+        raise ValueError("graph JSON field 'edges' must be an array")
+    for entry in edges:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
+        ):
+            raise ValueError(f"graph JSON edge {entry!r} is not a 2-element integer array")
+    return [tuple(entry) for entry in edges]
+
+
 def from_json(obj) -> BipartiteGraph:
     """Parse the Graph JSON format, with diagnostics on malformed input."""
     if not isinstance(obj, dict):
@@ -401,15 +421,4 @@ def from_json(obj) -> BipartiteGraph:
         raise ValueError(
             f"graph JSON class sizes v={v} w={w} exceed the limit {MAX_JSON_CLASS_SIZE}"
         )
-    if not isinstance(edges, list):
-        raise ValueError("graph JSON field 'edges' must be an array")
-    pairs = []
-    for entry in edges:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-        ):
-            raise ValueError(f"graph JSON edge {entry!r} is not a 2-element integer array")
-        pairs.append((entry[0], entry[1]))
-    return from_edges(v, w, pairs)
+    return from_edges(v, w, pairs_from_json(edges))

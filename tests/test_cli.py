@@ -109,9 +109,9 @@ class TestBound:
         assert code == 0 and "cap: n/a" in out
 
     def test_zero_v_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", "--v", "0", "--w", "3"])
-        assert exc.value.code == 2
+        # bounds owns the value check; main turns its ValueError into exit 2.
+        code, _, err = run(capsys, "bound", "--v", "0", "--w", "3")
+        assert code == 2 and err == "error: class sizes must be >= 1, got v=0 w=3\n"
 
     def test_method_girth_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -169,6 +169,15 @@ class TestConstructVerifyRoundTrip:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2 and err.startswith("error:") and "field 'n' must be an integer" in err
+
+    @pytest.mark.parametrize("edge", [[0, True], [0, 1.0], [0], [0, 1, 2], {"a": 1}, "01"])
+    def test_expand_rejects_malformed_edge(self, capsys, tmp_path, edge):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({"n": 3, "edges": [edge, [1, 2]]}))
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "construct", "expand", "--input", str(src), "--out", str(out))
+        assert code == 2 and err.startswith("error:") and "2-element integer array" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -331,10 +340,9 @@ class TestSearch:
 
     @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
     def test_timeout_must_be_positive(self, capsys, timeout):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--v", "3", "--w", "3", "--timeout", timeout])
-        assert exc.value.code == 2
-        assert "--timeout and --threads must be positive" in capsys.readouterr().err
+        # search owns the value check; main turns its ValueError into exit 2.
+        code, _, err = run(capsys, "search", "--v", "3", "--w", "3", "--timeout", timeout)
+        assert code == 2 and err == "error: budgets must be positive\n"
 
 
 class TestTable:
