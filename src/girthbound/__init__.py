@@ -1,89 +1,18 @@
 """Size bounds, extremal constructions, and exhaustive search for bipartite
-graphs of girth 6 and 8."""
+graphs of girth 6 and 8.
 
-from .bounds import (
-    BoundReport,
-    CubicDiagnostics,
-    balanced_approx,
-    balanced_approx_at_cube,
-    bound_report,
-    cubic_discriminant,
-    cubic_max_e,
-    eval_cubic,
-    eval_reiman,
-    girth6_coarse_bound,
-    girth8_coarse_bound,
-    growth_delta,
-    reiman_max_e,
-    size_cap,
-    unbalanced_cap,
-)
-from .constructions import (
-    complete_bipartite,
-    expand,
-    grid_incidence,
-    pg2_incidence,
-    unbalanced6,
-    unbalanced8,
-    wq_incidence,
-)
-from .graphcore import (
-    BipartiteGraph,
-    GirthReport,
-    Graph,
-    contract,
-    count_paths3,
-    count_paths3_enumerate,
-    from_edges,
-    girth,
-    prune_min_degree,
-    verify_weak_gq,
-)
-from .meanineq import IneqVerdict, NonnegMatrix, check, phi, psi
-from .search import BudgetExhausted, SearchCertificate, certify_bound, max_size
+The package exports exactly what its modules export: each module's
+``__all__`` decides which of its names are public."""
+
+from . import bounds, constructions, graphcore, meanineq, search
+from .bounds import *
+from .constructions import *
+from .graphcore import *
+from .meanineq import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteGraph",
-    "BoundReport",
-    "BudgetExhausted",
-    "CubicDiagnostics",
-    "GirthReport",
-    "Graph",
-    "IneqVerdict",
-    "NonnegMatrix",
-    "SearchCertificate",
-    "balanced_approx",
-    "balanced_approx_at_cube",
-    "bound_report",
-    "certify_bound",
-    "check",
-    "complete_bipartite",
-    "contract",
-    "count_paths3",
-    "count_paths3_enumerate",
-    "cubic_discriminant",
-    "cubic_max_e",
-    "eval_cubic",
-    "eval_reiman",
-    "expand",
-    "from_edges",
-    "girth",
-    "girth6_coarse_bound",
-    "girth8_coarse_bound",
-    "grid_incidence",
-    "growth_delta",
-    "max_size",
-    "pg2_incidence",
-    "phi",
-    "prune_min_degree",
-    "psi",
-    "reiman_max_e",
-    "size_cap",
-    "unbalanced6",
-    "unbalanced8",
-    "unbalanced_cap",
-    "verify_weak_gq",
-    "wq_incidence",
-]
+__all__ = (
+    bounds.__all__ + constructions.__all__ + graphcore.__all__ + meanineq.__all__ + search.__all__
+)

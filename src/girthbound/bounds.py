@@ -59,18 +59,13 @@ def reiman_max_e(v: int, w: int) -> int:
 
     The (min, max) orientation is binding: the positive root of
     X^2 - vX - vw(w-1) already makes O(v, w, .) nonnegative for v <= w, so
-    only one quadratic needs inverting.  Closed form with isqrt, then an
-    exact polynomial fix-up.
+    only one quadratic needs inverting: the largest integer e with
+    O(a, b, e) <= 0 is floor((b + sqrt(D)) / 2) with D = b^2 + 4ab(a-1),
+    which equals (b + isqrt(D)) // 2 exactly for integers b, D >= 0.
     """
     _require_positive(v, w)
     a, b = (v, w) if v <= w else (w, v)
-    disc = b * b + 4 * a * b * (a - 1)
-    e = (b + isqrt(disc)) // 2
-    while eval_reiman(a, b, e + 1) <= 0:
-        e += 1
-    while e > 0 and eval_reiman(a, b, e) > 0:
-        e -= 1
-    return e
+    return (b + isqrt(b * b + 4 * a * b * (a - 1))) // 2
 
 
 def cubic_max_e(v: int, w: int) -> int:

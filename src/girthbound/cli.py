@@ -2,13 +2,16 @@
 
 Exit codes: 0 = all checks pass, 1 = a mathematical expectation failed,
 2 = usage or IO error.  argparse owns the shape of the command line and
-exits 2 with its usage message; the library decides which values are
-valid (``bound --v 0`` and ``search --timeout nan`` are its to refuse) and
-raises ValueError; :func:`main` turns any OSError or ValueError, a closed
-stdout included, into one ``error:`` line and exit 2.  Output is
-deterministic given the flags (search certificates additionally given
-budgets), so stdout can be pinned in golden tests; JSON bound values are
-decimal strings, which sidesteps 64-bit consumers.
+exits 2 with its usage message (``--rho`` and ``--gamma`` are parsed by
+meanineq.rational as their argparse type); the library decides which
+values are valid (``bound --v 0`` and ``search --timeout nan`` are its to
+refuse) and raises ValueError; :func:`main` turns any OSError or
+ValueError, a closed stdout included, into one ``error:`` line and exit 2.
+Output is deterministic given the flags (search certificates additionally
+given budgets), so stdout can be pinned in golden tests; JSON bound values
+are decimal strings, which sidesteps 64-bit consumers.  ``table`` streams:
+each csv row, and each v's part of the JSON array, is written as soon as
+it is computed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds, constructions, graphcore, meanineq, search
 
@@ -227,16 +229,7 @@ def _cmd_search(args, parser) -> int:
         max_seconds=args.timeout,
         threads=args.threads,
     )
-    payload = {
-        "v": cert.v,
-        "w": cert.w,
-        "min_girth": cert.min_girth,
-        "e_max": cert.e_max,
-        "exhaustive": cert.exhaustive,
-        "nodes_explored": cert.nodes_explored,
-        "elapsed": cert.elapsed,
-        "witness": graphcore.to_json(cert.witness),
-    }
+    payload = {**vars(cert), "witness": graphcore.to_json(cert.witness)}
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -266,66 +259,54 @@ def _cmd_table(args, parser) -> int:
     v_range = _parse_range(args.v_range, parser)
     w_range = _parse_range(args.w_range, parser)
     columns = ("v", "w", "girth", "reiman", "cubic", "cap", "coarse", "search", "gap")
-    rows = []
+    csv = args.fmt == "csv"
+    if csv:
+        print(",".join(columns))
+    sep = "["
     for v in v_range:
+        rows = []
         for w in w_range:
             report = bounds.bound_report(v, w, args.girth)
-            row: dict[str, object] = {
-                "v": v,
-                "w": w,
-                "girth": args.girth,
-                "reiman": report.values.get("reiman"),
-                "cubic": report.values.get("cubic"),
-                "cap": report.values.get("cap"),
-                "coarse": report.values.get("coarse"),
-                "search": None,
-                "gap": None,
-            }
+            row: dict[str, object] = dict.fromkeys(columns)
+            row.update(v=v, w=w, girth=args.girth)
+            row.update((name, str(value)) for name, value in report.values.items())
             if args.with_search:
                 cert = search.max_size(v, w, args.girth)
                 if cert.exhaustive:
                     row["search"] = cert.e_max
                     row["gap"] = report.binding_value - cert.e_max
+            if csv:
+                print(",".join("" if row[c] is None else str(row[c]) for c in columns))
             rows.append(row)
-    if args.fmt == "csv":
-        print(",".join(columns))
-        for row in rows:
-            cells = ["" if row[c] is None else str(row[c]) for c in columns]
-            print(",".join(cells))
-    else:
-        payload = []
-        for row in rows:
-            obj = dict(row)
-            for name in ("reiman", "cubic", "cap", "coarse"):
-                if obj[name] is not None:
-                    obj[name] = str(obj[name])
-            payload.append(obj)
-        print(json.dumps(payload, sort_keys=True))
+        if not csv:  # this v's rows, as the inside of a JSON array
+            print(sep + json.dumps(rows, sort_keys=True)[1:-1], end="")
+            sep = ", "
+    if not csv:
+        print("]")
     return 0
 
 
 def _add_awm_parser(sub) -> None:
     p = sub.add_parser("awm", help="check the mean inequality on a matrix file")
     p.add_argument("path", help='matrix JSON: {"rows": [[entries]]}')
-    p.add_argument("--rho", required=True, help='nonnegative rational, e.g. "4" or "3/2"')
-    p.add_argument("--gamma", required=True, help='nonnegative rational, e.g. "5" or "1/2"')
+    p.add_argument(
+        "--rho", type=meanineq.rational, required=True, help="nonnegative rational p or p/q"
+    )
+    p.add_argument(
+        "--gamma", type=meanineq.rational, required=True, help="nonnegative rational p or p/q"
+    )
     p.set_defaults(func=_cmd_awm)
 
 
 def _cmd_awm(args, parser) -> int:
-    try:
-        rho = Fraction(args.rho)
-        gamma = Fraction(args.gamma)
-    except (ValueError, ZeroDivisionError):
-        parser.error("--rho and --gamma must be rationals like 4 or 3/2")
     obj = _read_json(args.path)
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError('matrix JSON needs a "rows" field')
     m = meanineq.NonnegMatrix(obj["rows"])
-    verdict = meanineq.check(m, rho, gamma)
+    verdict = meanineq.check(m, args.rho, args.gamma)
     flag = lambda b: "true" if b else "false"
     print(f"matrix: {m.v}x{m.w} e={m.total}")
-    print(f"rho={rho} gamma={gamma}")
+    print(f"rho={args.rho} gamma={args.gamma}")
     print(f"phi = {verdict.phi}")
     print(f"rhs = {verdict.rhs}")
     print(f"hypotheses (rows >= 2*rho, cols >= 2*gamma): {flag(verdict.hypotheses_hold)}")

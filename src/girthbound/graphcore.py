@@ -61,10 +61,10 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(norm))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.edges:
+        for a, b in self.edges:  # sorted edges give ascending lists
             adj[a].append(b)
             adj[b].append(a)
-        self.adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self.adj = tuple(tuple(nb) for nb in adj)
 
     @property
     def e(self) -> int:
@@ -111,11 +111,11 @@ class BipartiteGraph:
         self.edges = tuple(sorted(norm))
         av: list[list[int]] = [[] for _ in range(v)]
         aw: list[list[int]] = [[] for _ in range(w)]
-        for i, j in self.edges:
+        for i, j in self.edges:  # sorted edges give ascending lists
             av[i].append(j)
             aw[j].append(i)
         self.adj_v = tuple(tuple(nb) for nb in av)
-        self.adj_w = tuple(tuple(sorted(nb)) for nb in aw)
+        self.adj_w = tuple(tuple(nb) for nb in aw)
 
     @property
     def e(self) -> int:

@@ -241,13 +241,8 @@ def _edge_pair(v: int, m: int) -> tuple[int, int]:
     return i, j
 
 
-def _validate(
-    v: int, w: int, min_girth: int, max_nodes: int, max_seconds: float, threads: int
-) -> None:
-    if v < 1 or w < 1:
-        raise ValueError(f"class sizes must be >= 1, got v={v} w={w}")
-    if min_girth not in (6, 8):
-        raise ValueError(f"min_girth must be 6 or 8, got {min_girth}")
+def _validate(max_nodes: int, max_seconds: float, threads: int) -> None:
+    """Check the budgets; bounds checks the class sizes and the girth floor."""
     if max_nodes < 1 or not max_seconds > 0:  # NaN fails this test too
         raise ValueError("budgets must be positive")
     if threads < 1:
@@ -348,7 +343,7 @@ def max_size(
     v*w <= 36.  On budget exhaustion the certificate carries the best
     graph found so far with ``exhaustive=False``.
     """
-    _validate(v, w, min_girth, max_nodes, max_seconds, threads)
+    _validate(max_nodes, max_seconds, threads)
     cap = bounds.bound_report(v, w, min_girth).binding_value
     return _search(v, w, min_girth, cap, max_nodes, max_seconds, threads)
 
@@ -368,10 +363,11 @@ def certify_bound(
     comparison checks the bound instead of assuming it.  A non-exhaustive
     search cannot certify either way and raises BudgetExhausted.
     """
-    _validate(v, w, min_girth, max_nodes, max_seconds, threads)
+    _validate(max_nodes, max_seconds, threads)
+    cap = bounds.size_cap(v, w, min_girth)
     cert = _search(v, w, min_girth, v * w, max_nodes, max_seconds, threads)
     if not cert.exhaustive:
         raise BudgetExhausted(
             f"search on (v={v}, w={w}, girth>={min_girth}) exceeded its budget"
         )
-    return cert.e_max <= bounds.size_cap(v, w, min_girth)
+    return cert.e_max <= cap

@@ -53,6 +53,15 @@ class TestReimanMaxE:
             assert eval_reiman(a, b, e) <= 0 and eval_reiman(b, a, e) <= 0
             assert eval_reiman(a, b, e + 1) > 0 or eval_reiman(b, a, e + 1) > 0
 
+    def test_closed_form_equals_linear_scan(self):
+        # (b + isqrt(D)) // 2 needs no fix-up: every v, w <= 60, both orders.
+        for w in range(1, 61):
+            for v in range(1, w + 1):
+                e = 0
+                while eval_reiman(v, w, e + 1) <= 0 and eval_reiman(w, v, e + 1) <= 0:
+                    e += 1
+                assert reiman_max_e(v, w) == reiman_max_e(w, v) == e, (v, w)
+
     def test_orientation_lemma(self):
         # The (min, max) orientation is binding for every v <= w <= 50.
         def largest(a, b):

@@ -1,9 +1,11 @@
+import io
 import json
+import sys
 
 import pytest
 
 from girthbound.cli import main
-from girthbound import cli, graphcore
+from girthbound import bounds, cli, graphcore
 from helpers import record_pools
 
 
@@ -372,6 +374,25 @@ class TestTable:
         assert payload[0]["cubic"] is None and payload[0]["cap"] is None
         assert isinstance(payload[0]["reiman"], str)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_stream(self, monkeypatch, fmt):
+        # What stdout holds when the first v = 2 bound is computed.
+        out, written = io.StringIO(), []
+        report = bounds.bound_report
+
+        def first_v2_waits(v, w, girth):
+            if v == 2 and not written:
+                written.append(out.getvalue())
+            return report(v, w, girth)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(bounds, "bound_report", first_v2_waits)
+        assert main(["table", "--v-range", "1:3", "--w-range", "1:4", "--format", fmt]) == 0
+        if fmt == "csv":  # the header and the four v = 1 rows
+            assert written == ["".join(out.getvalue().splitlines(keepends=True)[:5])]
+        else:
+            assert json.loads(written[0] + "]") == json.loads(out.getvalue())[:4]
+
     def test_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--v-range", "5:2", "--w-range", "1:1"])
@@ -425,3 +446,15 @@ class TestAwm:
         with pytest.raises(SystemExit) as exc:
             main(["awm", str(path), "--rho", "x", "--gamma", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--rho", "--gamma"])
+    @pytest.mark.parametrize("value", ["1.5", "1/0", "1e3"])
+    def test_rational_flags_are_parsed_by_argparse(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": [[1]]}')
+        argv = ["awm", str(path), "--rho", "1", "--gamma", "1"]
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid rational value: '{value}'" in capsys.readouterr().err

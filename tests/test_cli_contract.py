@@ -34,7 +34,20 @@ VALUES = [
 BAD_BYTES = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\x00", b"{", b"]", b'"']
 # Flag values: numbers that int or float flags accept or refuse, then junk.
 NUMBERS = ["0", "-1", "nan", "inf"]
-JUNK = ["x", "", "1:", "4:2", "0:3", "1/0"]
+JUNK = ["x", "", "1:", "4:2", "0:3", "1/0", "1e99999999"]
+
+
+def cli_process(argv) -> subprocess.Popen:
+    """``python -m girthbound.cli argv`` in a new process that imports this tree."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "girthbound.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
 
 
 def invoke(capsys, argv):
@@ -208,15 +221,7 @@ def test_deep_nesting_is_an_input_error(capsys, tmp_path, field, argv):
     ids=["table-csv", "table-json", "bound"],
 )
 def test_closed_stdout_is_an_io_error(argv):
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    with subprocess.Popen(
-        [sys.executable, "-m", "girthbound.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    ) as proc:
+    with cli_process(argv) as proc:
         if argv[0] == "table":
             # The csv header, or the start of the one-line JSON array; the
             # rest of the table is far larger than the pipe holds.
@@ -229,6 +234,27 @@ def test_closed_stdout_is_an_io_error(argv):
     assert code == 2, err
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["--rho", "--gamma", "entry"])
+def test_huge_exponent_exits_at_once(tmp_path, where):
+    # Fraction expands 1eN to an exact integer, in time growing with N.
+    huge = "1e99999999"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": [[huge if where == "entry" else 1]]}))
+    argv = ["awm", str(path), "--rho", "1", "--gamma", "1"]
+    if where != "entry":
+        argv[argv.index(where) + 1] = huge
+    with cli_process(argv) as proc:
+        try:
+            out, err = proc.communicate(timeout=2)
+        finally:
+            proc.kill()
+    assert proc.returncode == 2 and out == b""
+    if where == "entry":
+        assert err.decode() == f"error: '{huge}' is not a rational p or p/q\n"
+    else:
+        assert f"argument {where}: invalid rational value: '{huge}'" in err.decode()
 
 
 @pytest.mark.xfail(

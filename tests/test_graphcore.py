@@ -29,6 +29,7 @@ from helpers import (
     random_girth_floor,
     random_min_degree2,
     random_tree,
+    random_uncoloured,
     weak_gq_oracle,
 )
 
@@ -100,6 +101,20 @@ class TestFromEdges:
             rebuilt_w = {(i, j) for j in range(g.w) for i in g.adj_w[j]}
             assert rebuilt_w == set(g.edges)
             assert sum(g.degrees_v()) == g.e == sum(g.degrees_w())
+
+    def test_adjacency_lists_ascend(self):
+        # Both classes build them from the sorted edge list, unsorted.
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_bipartite(rng)
+            assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adj_v + g.adj_w)
+            u = random_uncoloured(rng, max_n=12)
+            pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in reversed(u.edges)]
+            flipped = Graph(u.n, pairs)
+            assert flipped == u
+            assert all(list(nbrs) == sorted(nbrs) for nbrs in flipped.adj)
+            rebuilt = {(a, b) for a in range(u.n) for b in flipped.adj[a] if a < b}
+            assert rebuilt == set(u.edges)
 
 
 class TestGirth:

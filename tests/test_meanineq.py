@@ -6,7 +6,7 @@ import pytest
 from girthbound import meanineq
 from girthbound.constructions import pg2_incidence
 from girthbound.graphcore import from_edges
-from girthbound.meanineq import NonnegMatrix, check, phi, psi
+from girthbound.meanineq import NonnegMatrix, check, phi, psi, rational
 from helpers import (
     is_biregular,
     random_bipartite,
@@ -17,6 +17,26 @@ from helpers import (
 
 COUNTEREXAMPLE_1 = [[2, 5], [4, 0]]
 COUNTEREXAMPLE_2 = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+
+
+class TestRational:
+    @pytest.mark.parametrize(
+        "value,want",
+        [("4", 4), (" 3/2 ", Fraction(3, 2)), ("-1/2", Fraction(-1, 2)), ("+0/7", 0),
+         (7, 7), (Fraction(5, 3), Fraction(5, 3))],
+    )
+    def test_documented_forms(self, value, want):
+        got = rational(value)
+        assert got == want and type(got) is Fraction
+
+    # Decimals and exponents are refused before Fraction, which would take
+    # time growing with the exponent to expand "1e99999999".
+    @pytest.mark.parametrize(
+        "value", ["1.5", "1e3", "1/0", "", " ", "x", "1/-2", "1_000", "/2", "nan", True, 1.5, None]
+    )
+    def test_everything_else_is_refused(self, value):
+        with pytest.raises(ValueError):
+            rational(value)
 
 
 class TestMatrix:

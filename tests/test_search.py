@@ -354,6 +354,20 @@ class TestDeterminismAndBudgets:
         with pytest.raises(ValueError):
             max_size(3, 3, 8, max_nodes=0)
 
+    @pytest.mark.parametrize(
+        "call,args,message",
+        [
+            (max_size, (0, 3, 8), "class sizes must be >= 1, got v=0 w=3"),
+            (max_size, (3, 3, 7), "girth target must be 6 or 8, got 7"),
+            (certify_bound, (3, 0, 6), "class sizes must be >= 1, got v=3 w=0"),
+            (certify_bound, (3, 3, 7), "girth must be 6 or 8, got 7"),
+        ],
+    )
+    def test_bounds_checks_sizes_and_girth(self, call, args, message):
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("call", [max_size, certify_bound])
     @pytest.mark.parametrize("max_seconds", [0.0, -1.0, float("nan")])
     def test_time_budget_must_be_positive(self, call, max_seconds):
