@@ -326,16 +326,16 @@ def prune_min_degree(g: BipartiteGraph, k: int) -> tuple[BipartiteGraph, int]:
     adj = (g.adj_v, g.adj_w)  # side 0 is class V, side 1 class W
     deg = [[len(nb) for nb in side] for side in adj]
     alive = [[True] * g.v, [True] * g.w]
-    stack = [(s, x) for s in (0, 1) for x in range(len(adj[s])) if deg[s][x] < k]
-    while stack:
-        s, x = stack.pop()
+    pending = [(s, x) for s in (0, 1) for x in range(len(adj[s])) if deg[s][x] < k]
+    while pending:
+        s, x = pending.pop()
         if alive[s][x]:
             alive[s][x] = False
             for y in adj[s][x]:
                 if alive[1 - s][y]:
                     deg[1 - s][y] -= 1
                     if deg[1 - s][y] < k:
-                        stack.append((1 - s, y))
+                        pending.append((1 - s, y))
     new_i, new_j = (
         {x: n for n, x in enumerate(x for x, a in enumerate(side) if a)} for side in alive
     )

@@ -126,28 +126,27 @@ def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
 def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     """Explore every extension of a fixed edge prefix.
 
-    Returns (best_e, best_edge_indices, nodes_visited, completed).  The
-    subtree root itself is counted.  Module-level and tuple-argumented so
-    it can cross a process boundary.
+    Returns (best_e, best_masks, nodes_visited, completed), where
+    best_masks holds the V-neighbour mask of each column of the best graph
+    up to its last nonempty one.  The subtree root itself is counted.
+    Module-level and tuple-argumented so it can cross a process boundary.
     """
     v, w, min_girth, prefix, cap, max_nodes, deadline = args
+    # The graph: amask_w[j] is the V-neighbour bitmask of W-vertex j.
+    amask_w = [0] * w
+    for m in prefix:
+        j, i = divmod(m, v)
+        amask_w[j] |= 1 << i
     best_e = len(prefix)
-    best_edges = tuple(prefix)
+    best_masks = tuple(amask_w[: prefix[-1] // v + 1])
     if time.monotonic() > deadline:
-        return best_e, best_edges, 0, False
+        return best_e, best_masks, 0, False
     total_edges = v * w
-    amask_w = [0] * w  # V-neighbour bitmasks per W-vertex
-    deg_w = [0] * w
     # Contraction masks: cmask[x] holds the V-vertices that share a
     # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
     # edge (i, j) sets, and removing it clears, each affected bit with one
     # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).
     cmask = [0] * v
-    stack = list(prefix)
-    for m in prefix:
-        j, i = divmod(m, v)
-        amask_w[j] |= 1 << i
-        deg_w[j] += 1
     if prefix[0] // v == prefix[1] // v:  # the two prefix edges share their W-end
         i1, i2 = prefix[0] % v, prefix[1] % v
         cmask[i1] = 1 << i2
@@ -157,7 +156,7 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     completed = True
 
     def rec(last_m: int, e_cur: int) -> None:
-        nonlocal nodes, best_e, best_edges, completed
+        nonlocal nodes, best_e, best_masks, completed
         if nodes == max_nodes:
             completed = False
             return
@@ -165,15 +164,17 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
         if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             completed = False
             return
+        col = last_m // v
         if e_cur > best_e:
             best_e = e_cur
-            best_edges = tuple(stack)
-        col = last_m // v
+            best_masks = tuple(amask_w[: col + 1])
+        deg = amask_w[col].bit_count()
         ceiling = e_cur + (total_edges - last_m - 1)
         if col >= 1:
             # Degrees are non-increasing, so no later column can exceed
             # the previous one.
-            by_degree = e_cur + (deg_w[col - 1] - deg_w[col]) + (w - 1 - col) * deg_w[col - 1]
+            prev = amask_w[col - 1].bit_count()
+            by_degree = e_cur + (prev - deg) + (w - 1 - col) * prev
             if by_degree < ceiling:
                 ceiling = by_degree
         if ceiling > cap:
@@ -183,10 +184,10 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
         # Candidate edges in edge order: first grow the active column, then
         # open the next one, which finalizes the active column.
         segments = []
-        if col == 0 or deg_w[col] < deg_w[col - 1]:
+        if col == 0 or deg < prev:
             segments.append((col, last_m + 1 - col * v))
         opens = col + 1 < w
-        if opens and col >= 1 and deg_w[col] == deg_w[col - 1]:
+        if opens and col >= 1 and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
             # not when the previous column's set is lexicographically larger.
             diff = amask_w[col - 1] ^ amask_w[col]
@@ -202,29 +203,25 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
                     continue
                 ibit = 1 << i
                 amask_w[j] = nbrs | ibit
-                deg_w[j] += 1
                 cmask[i] ^= nbrs
                 rest = nbrs
                 while rest:
                     low = rest & -rest
                     cmask[low.bit_length() - 1] ^= ibit
                     rest ^= low
-                stack.append(base + i)
                 rec(base + i, e_cur + 1)
-                stack.pop()
                 rest = nbrs
                 while rest:
                     low = rest & -rest
                     cmask[low.bit_length() - 1] ^= ibit
                     rest ^= low
                 cmask[i] ^= nbrs
-                deg_w[j] -= 1
                 amask_w[j] = nbrs
                 if not completed:
                     return
 
-    rec(stack[-1], len(prefix))
-    return best_e, best_edges, nodes, completed
+    rec(prefix[-1], len(prefix))
+    return best_e, best_masks, nodes, completed
 
 
 def _subtree_roots(v: int, w: int):
@@ -234,11 +231,6 @@ def _subtree_roots(v: int, w: int):
         yield from ((m1, m2) for m2 in range(m1 + 1, v))
         if w >= 2:
             yield from ((m1, m2) for m2 in range(v, 2 * v))
-
-
-def _edge_pair(v: int, m: int) -> tuple[int, int]:
-    j, i = divmod(m, v)
-    return i, j
 
 
 def _validate(max_nodes: int, max_seconds: float, threads: int) -> None:
@@ -274,7 +266,7 @@ def _search(
     # puts the first edge in column 0), then the two-edge subtree roots in
     # edge order, generated only when the budget leaves room for them.
     nodes = min(1 + v, max_nodes)
-    best_e, best_edges = (1, (0,)) if nodes > 1 else (0, ())
+    best_e, best_masks = (1, (1,)) if nodes > 1 else (0, ())
     exhaustive = nodes == 1 + v
     n_tasks = (v * (v - 1) // 2 + (v * v if w >= 2 else 0)) if exhaustive else 0
     tasks = _subtree_roots(v, w) if n_tasks else ()
@@ -301,16 +293,18 @@ def _search(
             result = next(results)
             if result is None or result[2] > budget:
                 result = _explore_subtree(args(prefix, budget))
-            sub_best, sub_edges, sub_nodes, sub_done = result
+            sub_best, sub_masks, sub_nodes, sub_done = result
             nodes += sub_nodes
             if sub_best > best_e:
-                best_e, best_edges = sub_best, sub_edges
+                best_e, best_masks = sub_best, sub_masks
             if not sub_done:
                 exhaustive = False
                 break
     assert nodes <= max_nodes
 
-    witness = graphcore.from_edges(v, w, [_edge_pair(v, m) for m in best_edges])
+    witness = graphcore.from_edges(
+        v, w, [(i, j) for j, mask in enumerate(best_masks) for i in graphcore._bits(mask)]
+    )
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:
         raise RuntimeError(

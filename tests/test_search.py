@@ -291,9 +291,16 @@ class TestDeterminismAndBudgets:
         assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (10, 1, False)
         assert peak < 1 << 20
 
+    @staticmethod
+    def cut_in_first_subtree(args):
+        """A kernel cut at its root, the first subtree root: edges (0, 0)
+        and (1, 0), given as column masks."""
+        assert args[3] == (0, 1)
+        return 2, (0b11,), 1, False
+
     def test_subtree_roots_are_generated_as_they_run(self, monkeypatch):
         # A search that ends in its first subtree holds no list of the rest.
-        monkeypatch.setattr(search, "_explore_subtree", lambda args: (2, args[3], 1, False))
+        monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
         tracemalloc.start()
         try:
             cert = max_size(1000, 3, 8)
@@ -301,13 +308,14 @@ class TestDeterminismAndBudgets:
         finally:
             tracemalloc.stop()
         assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (1002, 2, False)
+        assert cert.witness.edges == ((0, 0), (1, 0))
         assert peak < 1 << 20
 
     def test_subtree_roots_are_generated_as_workers_take_them(self, monkeypatch):
         # The same with a pool: it is fed lazily, and it is left once the
         # first subtree ends the search.  A list of the 59,900 roots alone
         # would exceed the bound.
-        monkeypatch.setattr(search, "_explore_subtree", lambda args: (2, args[3], 1, False))
+        monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
         pools = record_pools(monkeypatch, 2)
         tracemalloc.start()
         try:
@@ -316,8 +324,21 @@ class TestDeterminismAndBudgets:
         finally:
             tracemalloc.stop()
         assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (202, 2, False)
+        assert cert.witness.edges == ((0, 0), (1, 0))
         assert peak < 1 << 20
         assert [(p.processes, p.exited) for p in pools] == [(2, True)]
+
+    def test_subtree_returns_one_mask_per_column_in_use(self):
+        # A million columns, of which the best graph after 500 nodes uses a
+        # few hundred: the result holds no mask for the unused rest.
+        cap = bounds.bound_report(3, 10 ** 6, 8).binding_value
+        best_e, masks, nodes, done = search._explore_subtree(
+            (3, 10 ** 6, 8, (0, 1), cap, 500, float("inf"))
+        )
+        assert (nodes, done) == (500, False)
+        assert 0 < len(masks) <= best_e
+        assert sum(mask.bit_count() for mask in masks) == best_e
+        assert masks[-1]  # the last column in use is not empty
 
     @pytest.mark.parametrize(
         "v,w,threads,cpus,pools",
