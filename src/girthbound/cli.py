@@ -6,7 +6,8 @@ exits 2 with its usage message (``--rho`` and ``--gamma`` are parsed by
 meanineq.rational as their argparse type); the library decides which
 values are valid (``bound --v 0`` and ``search --timeout nan`` are its to
 refuse) and raises ValueError; :func:`main` turns any OSError or
-ValueError, a closed stdout included, into one ``error:`` line and exit 2.
+ValueError, a closed stdout included, into one ``error:`` line and exit 2,
+keeping the first and last 100 characters of a longer message.
 Output is deterministic given the flags (search certificates additionally
 given budgets), so stdout can be pinned in golden tests; JSON bound values
 are decimal strings, which sidesteps 64-bit consumers.  ``table`` streams:
@@ -340,7 +341,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         if isinstance(exc, BrokenPipeError):  # the flush at exit goes to /dev/null
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > 200:  # the library quotes an offending value in full
+            message = f"{message[:100]}...{message[-100:]}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return code
 

@@ -1,17 +1,19 @@
 """Exhaustive maximum-size search for bipartite graphs under a girth floor.
 
 Depth-first edge addition in a fixed column-major edge order (edge index
-m = j*v + i for the pair (i, j)).  A partial graph is extended only when
-the new edge closes no cycle shorter than the floor.  The check runs on the
-paper's contraction of class V (two V-vertices joined when they share a
-W-neighbour), kept as one bitmask per V-vertex: under girth >= 6 the shared
-neighbour is unique, so each edge added or removed updates the masks by
-XOR, and a 4- or 6-cycle test is one or two mask intersections.  Pruning
-combines
+m = j*v + i for the pair (i, j)).  The graph is kept once, as the
+V-neighbour bitmask of each W-vertex (column).  A partial graph is extended
+only when the new edge closes no cycle shorter than the floor.  The check
+runs on the paper's contraction of class V (two V-vertices joined when they
+share a W-neighbour), kept as one bitmask per V-vertex: under girth >= 6
+the shared neighbour is unique, so each edge added or removed updates the
+masks by XOR, and a 4- or 6-cycle test is one or two mask intersections.
+The tree is cut by
 
-  (a) a remaining-edge count bound (degree-ordering aware),
-  (b) the least size bound bounds.bound_report proves for any completed
-      supergraph (the cubic, quadratic, coarse or unbalanced bound), and
+  (a) a remaining-edge count bound (degree-ordering aware) at each node,
+  (b) a stop as soon as the best graph meets the least size bound
+      bounds.bound_report proves (cubic, quadratic, coarse or unbalanced),
+      which makes it optimal, and
   (c) symmetry breaking on class W: W-vertices are used in non-increasing
       degree blocks, with lexicographically non-decreasing neighbour sets
       inside a block, so exactly one column permutation of every graph
@@ -19,10 +21,8 @@ combines
 
 The tree is split at fixed depth 2 (the first two chosen edges) into
 independent subtrees, consumed in edge order and merged by max with
-first-in-edge-order ties.  A graph that meets the bound of (b) is
-optimal, so the search stops after the first subtree whose best graph
-meets it; otherwise every subtree runs.  ``exhaustive`` therefore means
-the maximum is proven, by the completed tree or by the bound.
+first-in-edge-order ties.  ``exhaustive`` means the maximum is proven, by
+the completed tree or by the bound of (b).
 
 The node budget applies to the whole search: the root and single-edge
 nodes come first, then each subtree gets what is left, and the search
@@ -88,9 +88,9 @@ class SearchCertificate:
     @property
     def optimality(self) -> str:
         """What proves ``e_max`` maximum: ``"bound"`` when it equals the
-        least bound bounds.bound_report proves, even if the search was cut,
+        least bound bounds.bound_report proves (the search stops there),
         ``"exhaustive"`` when only the completed tree does, ``"none"`` when
-        the search was cut below that bound."""
+        the search was cut."""
         if self.e_max == bounds.bound_report(self.v, self.w, self.min_girth).binding_value:
             return "bound"
         return "exhaustive" if self.exhaustive else "none"
@@ -126,48 +126,50 @@ def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
 def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     """Explore every extension of a fixed edge prefix.
 
-    Returns (best_e, best_masks, nodes_visited, completed), where
-    best_masks holds the V-neighbour mask of each column of the best graph
-    up to its last nonempty one.  The subtree root itself is counted.
-    Module-level and tuple-argumented so it can cross a process boundary.
+    Returns (best_e, best_masks, nodes_visited, completed): best_masks are
+    the best graph's column masks up to its last nonempty column, at most
+    one per edge, and completed is False only when a budget cut the
+    subtree.  The subtree root itself is counted.  Module-level and
+    tuple-argumented so it can cross a process boundary.
     """
     v, w, min_girth, prefix, cap, max_nodes, deadline = args
-    # The graph: amask_w[j] is the V-neighbour bitmask of W-vertex j.
-    amask_w = [0] * w
+    amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
+    # Contraction masks: cmask[x] holds the V-vertices that share a
+    # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
+    # edge (i, j) sets, and removing it clears, each affected bit with one
+    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).
+    cmask = [0] * v
     for m in prefix:
         j, i = divmod(m, v)
+        cmask[i] ^= amask_w[j]
+        for x in graphcore._bits(amask_w[j]):
+            cmask[x] ^= 1 << i
         amask_w[j] |= 1 << i
     best_e = len(prefix)
     best_masks = tuple(amask_w[: prefix[-1] // v + 1])
     if time.monotonic() > deadline:
         return best_e, best_masks, 0, False
     total_edges = v * w
-    # Contraction masks: cmask[x] holds the V-vertices that share a
-    # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
-    # edge (i, j) sets, and removing it clears, each affected bit with one
-    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).
-    cmask = [0] * v
-    if prefix[0] // v == prefix[1] // v:  # the two prefix edges share their W-end
-        i1, i2 = prefix[0] % v, prefix[1] % v
-        cmask[i1] = 1 << i2
-        cmask[i2] = 1 << i1
 
     nodes = 0
     completed = True
 
-    def rec(last_m: int, e_cur: int) -> None:
+    def rec(last_m: int, e_cur: int) -> bool:
+        """Visit a node and its extensions; True stops the whole search."""
         nonlocal nodes, best_e, best_masks, completed
         if nodes == max_nodes:
             completed = False
-            return
+            return True
         nodes += 1
         if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
             completed = False
-            return
+            return True
         col = last_m // v
         if e_cur > best_e:
             best_e = e_cur
             best_masks = tuple(amask_w[: col + 1])
+            if best_e >= cap:
+                return True  # it meets a proven bound, so it is optimal
         deg = amask_w[col].bit_count()
         ceiling = e_cur + (total_edges - last_m - 1)
         if col >= 1:
@@ -177,10 +179,8 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
             by_degree = e_cur + (prev - deg) + (w - 1 - col) * prev
             if by_degree < ceiling:
                 ceiling = by_degree
-        if ceiling > cap:
-            ceiling = cap
         if ceiling <= best_e:
-            return
+            return False
         # Candidate edges in edge order: first grow the active column, then
         # open the next one, which finalizes the active column.
         segments = []
@@ -209,7 +209,8 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
                     low = rest & -rest
                     cmask[low.bit_length() - 1] ^= ibit
                     rest ^= low
-                rec(base + i, e_cur + 1)
+                if rec(base + i, e_cur + 1):
+                    return True  # the masks are left dirty: nothing reads them again
                 rest = nbrs
                 while rest:
                     low = rest & -rest
@@ -217,8 +218,7 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
                     rest ^= low
                 cmask[i] ^= nbrs
                 amask_w[j] = nbrs
-                if not completed:
-                    return
+        return False
 
     rec(prefix[-1], len(prefix))
     return best_e, best_masks, nodes, completed
@@ -233,8 +233,12 @@ def _subtree_roots(v: int, w: int):
             yield from ((m1, m2) for m2 in range(v, 2 * v))
 
 
-def _validate(max_nodes: int, max_seconds: float, threads: int) -> None:
-    """Check the budgets; bounds checks the class sizes and the girth floor."""
+def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) -> None:
+    """Check the budgets and the largest class; bounds checks the least
+    class size and the girth floor."""
+    limit = graphcore.MAX_JSON_CLASS_SIZE  # the witness is built per vertex
+    if v > limit or w > limit:
+        raise ValueError(f"search takes classes of at most {limit} vertices, got v={v} w={w}")
     if max_nodes < 1 or not max_seconds > 0:  # NaN fails this test too
         raise ValueError("budgets must be positive")
     if threads < 1:
@@ -250,11 +254,11 @@ def _search(
     max_seconds: float,
     threads: int,
 ) -> SearchCertificate:
-    """The search behind max_size and certify_bound, pruned against ``cap``.
+    """The search behind max_size and certify_bound, stopped at ``cap``.
 
-    ``cap`` must be a proven upper bound on the maximum (``v * w`` prunes
-    nothing), because the search stops at the first subtree whose best
-    graph reaches it.
+    ``cap`` must be a proven upper bound on the maximum (``v * w`` stops
+    nothing early), because the search stops as soon as its best graph
+    reaches it.
     """
     start = time.monotonic()
     deadline = start + max_seconds
@@ -287,8 +291,6 @@ def _search(
                 _explore_subtree, (args(prefix, max_nodes) for prefix in _subtree_roots(v, w))
             )
         for prefix in tasks:
-            if best_e >= cap:
-                break  # the best graph meets a proven bound, so it is optimal
             budget = max_nodes - nodes
             result = next(results)
             if result is None or result[2] > budget:
@@ -297,6 +299,8 @@ def _search(
             nodes += sub_nodes
             if sub_best > best_e:
                 best_e, best_masks = sub_best, sub_masks
+            if best_e >= cap:
+                break  # the best graph meets a proven bound, so it is optimal
             if not sub_done:
                 exhaustive = False
                 break
@@ -337,7 +341,7 @@ def max_size(
     v*w <= 36.  On budget exhaustion the certificate carries the best
     graph found so far with ``exhaustive=False``.
     """
-    _validate(max_nodes, max_seconds, threads)
+    _validate(v, w, max_nodes, max_seconds, threads)
     cap = bounds.bound_report(v, w, min_girth).binding_value
     return _search(v, w, min_girth, cap, max_nodes, max_seconds, threads)
 
@@ -357,7 +361,7 @@ def certify_bound(
     comparison checks the bound instead of assuming it.  A non-exhaustive
     search cannot certify either way and raises BudgetExhausted.
     """
-    _validate(max_nodes, max_seconds, threads)
+    _validate(v, w, max_nodes, max_seconds, threads)
     cap = bounds.size_cap(v, w, min_girth)
     cert = _search(v, w, min_girth, v * w, max_nodes, max_seconds, threads)
     if not cert.exhaustive:

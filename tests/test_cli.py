@@ -317,11 +317,21 @@ class TestSearch:
 
     def test_budget_flags(self, capsys):
         code, out, _ = run(
-            capsys, "search", "--v", "8", "--w", "3", "--girth", "8", "--nodes", "50"
+            capsys, "search", "--v", "6", "--w", "7", "--girth", "8", "--nodes", "50"
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["exhaustive"] is False
+
+    def test_class_above_the_limit_is_refused(self, capsys, monkeypatch):
+        def no_witness(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(graphcore, "from_edges", no_witness)
+        big = str(graphcore.MAX_JSON_CLASS_SIZE + 1)
+        code, out, err = run(capsys, "search", "--v", big, "--w", "1", "--girth", "8", "--nodes", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_threads_flag(self, capsys):
         code, out, _ = run(

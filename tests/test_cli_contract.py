@@ -212,6 +212,31 @@ def test_deep_nesting_is_an_input_error(capsys, tmp_path, field, argv):
 
 
 @pytest.mark.parametrize(
+    "field,argv,ending",
+    [
+        ("rows", ["awm", "{path}", "--rho", "1", "--gamma", "1"], "' is not a rational p or p/q"),
+        ("edges", ["verify", "{path}"], "', 0] is not a 2-element integer array"),
+        (
+            "edges",
+            ["construct", "expand", "--input", "{path}", "--out", "{out}"],
+            "', 0] is not a 2-element integer array",
+        ),
+    ],
+    ids=["awm", "verify", "construct-expand"],
+)
+def test_a_huge_value_gives_a_short_error_line(capsys, tmp_path, field, argv, ending):
+    # The library quotes the offending value in full; main keeps the ends.
+    path, out = tmp_path / "huge.json", tmp_path / "out.json"
+    huge = "x" * 1_000_000
+    path.write_text(json.dumps({"v": 2, "w": 2, "n": 2, field: [[huge, 0]]}))
+    code, _, err, usage = invoke(capsys, [a.format(path=path, out=out) for a in argv])
+    assert (code, usage) == (2, False)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 512 and err.endswith(ending + "\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["table", "--v-range", "1:300", "--w-range", "1:300"],

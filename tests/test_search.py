@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from girthbound import bounds, search
+from girthbound import bounds, graphcore, search
 from girthbound.graphcore import contract, from_edges, girth
 from girthbound.search import BudgetExhausted, certify_bound, max_size
 from helpers import record_pools, short_path_exists
@@ -195,7 +195,7 @@ class TestBoundCertification:
         assert max_size(8, 5, 8).optimality == "bound"  # the cubic bound
         assert max_size(8, 3, 8).optimality == "bound"  # the unbalanced cap and coarse bound
         assert max_size(6, 7, 8).optimality == "exhaustive"  # below every bound
-        # A cut search whose witness meets the least bound is still optimal.
+        # The search stops at the least bound, here after 18 nodes.
         assert max_size(8, 3, 8, max_nodes=50).optimality == "bound"
         cut = max_size(6, 7, 8, max_nodes=50)
         assert not cut.exhaustive
@@ -221,11 +221,21 @@ class TestDeterminismAndBudgets:
         assert (a.e_max, a.nodes_explored, a.witness) == (b.e_max, b.nodes_explored, b.witness)
 
     @pytest.mark.parametrize(
-        "v,w,g,nodes", [(7, 5, 8, 16757), (7, 6, 6, 44964), (8, 3, 8, 95)]
+        "v,w,g,nodes", [(7, 5, 8, 16687), (7, 6, 6, 44857), (8, 3, 8, 18), (300, 3, 8, 602)]
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
         assert max_size(v, w, g).nodes_explored == nodes
+
+    def test_search_stops_when_its_best_graph_meets_the_bound(self):
+        # g8 8x3 reaches its bound of 10 at its 18th node and stops there,
+        # proven; a budget one node short leaves it cut at 9 edges.
+        assert bounds.bound_report(8, 3, 8).binding_value == 10
+        cut = max_size(8, 3, 8, max_nodes=17)
+        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 17)
+        done = max_size(8, 3, 8, max_nodes=18)
+        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 18)
+        assert done.witness == max_size(8, 3, 8).witness
 
     def test_certificates_match_the_table(self):
         for row in json.loads(CERTIFICATES.read_text()):
@@ -244,7 +254,7 @@ class TestDeterminismAndBudgets:
 
     def test_worker_count_does_not_change_certificate(self):
         full = search.DEFAULT_MAX_NODES
-        for v, w, g, max_nodes in ((6, 4, 8, full), (8, 5, 8, full), (8, 3, 8, 50)):
+        for v, w, g, max_nodes in ((6, 4, 8, full), (8, 5, 8, full), (8, 3, 8, 50), (6, 7, 8, 50)):
             one = max_size(v, w, g, max_nodes=max_nodes, threads=1)
             two = max_size(v, w, g, max_nodes=max_nodes, threads=2)
             assert one.e_max == two.e_max
@@ -255,18 +265,20 @@ class TestDeterminismAndBudgets:
     def test_pool_is_fed_only_as_its_workers_take_subtrees(self, monkeypatch):
         # A real pool of two workers on about 135,000 subtree roots: were
         # every root handed out before the first result is taken, the search
-        # would overrun its 0.05 s budget by seconds.
+        # would overrun its 0.05 s budget by seconds.  g8 300x4 stays below
+        # its bound of 304 for seconds, so no subtree ends the search early.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         start = time.monotonic()
-        cert = max_size(300, 3, 8, threads=2, max_seconds=0.05)
+        cert = max_size(300, 4, 8, threads=2, max_seconds=0.05)
         assert time.monotonic() - start < 1.0
         assert not cert.exhaustive
         assert multiprocessing.active_children() == []  # the workers were ended
 
     def test_node_budget_exhaustion(self):
-        cert = max_size(8, 3, 8, max_nodes=50)
+        # g8 6x7 lies below every bound, so 50 nodes cannot prove its 14.
+        cert = max_size(6, 7, 8, max_nodes=50)
         assert not cert.exhaustive
-        assert cert.e_max <= 10
+        assert cert.e_max <= 14
         rep = girth(cert.witness)
         assert rep.girth is None or rep.girth >= 8
 
@@ -388,6 +400,19 @@ class TestDeterminismAndBudgets:
         with pytest.raises(ValueError) as exc:
             call(*args)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call", [max_size, certify_bound])
+    def test_class_above_the_witness_limit_is_refused(self, monkeypatch, call):
+        # The witness is built one list per vertex, so a class larger than
+        # graphcore.from_json accepts is refused before the search starts.
+        def no_witness(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(graphcore, "from_edges", no_witness)
+        big = graphcore.MAX_JSON_CLASS_SIZE + 1
+        for v, w in ((big, 1), (1, big)):
+            with pytest.raises(ValueError, match=f"at most {big - 1} vertices, got v={v} w={w}"):
+                call(v, w, 8, max_nodes=1)
 
     @pytest.mark.parametrize("call", [max_size, certify_bound])
     @pytest.mark.parametrize("max_seconds", [0.0, -1.0, float("nan")])
