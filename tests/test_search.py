@@ -341,8 +341,8 @@ class TestDeterminismAndBudgets:
         assert [(p.processes, p.exited) for p in pools] == [(2, True)]
 
     def test_subtree_returns_one_mask_per_column_in_use(self):
-        # A million columns, of which the best graph after 500 nodes uses a
-        # few hundred: the result holds no mask for the unused rest.
+        # A million columns, of which the best graph after 500 nodes uses
+        # 499: the result holds no mask for the unused rest.
         cap = bounds.bound_report(3, 10 ** 6, 8).binding_value
         best_e, masks, nodes, done = search._explore_subtree(
             (3, 10 ** 6, 8, (0, 1), cap, 500, float("inf"))
