@@ -17,16 +17,24 @@ The tree is cut by
   (c) symmetry breaking on class W: W-vertices are used in non-increasing
       degree blocks, with lexicographically non-decreasing neighbour sets
       inside a block, so exactly one column permutation of every graph
-      survives.  Class V symmetry is deliberately left unbroken.
+      survives; and on class V at column 0 only: the first W-vertex's
+      neighbours are rows 0..d-1.  This loses no graph: relabel V so that
+      a W-vertex of maximum degree d has neighbours 0..d-1, the least
+      d-set in this order (the lowest differing bit lies in it), and the
+      canonical column order puts that vertex first.
 
 The tree is split at fixed depth 2 (the first two chosen edges) into
-independent subtrees, consumed in edge order and merged by max with
+independent subtrees: the first edge is (0, 0), and the second is row 1
+of column 0 or any row of column 1, so there are at most v + 1 of them.
+They are consumed in edge order and merged by max with
 first-in-edge-order ties.  ``exhaustive`` means the maximum is proven, by
 the completed tree or by the bound of (b).
 
-The node budget applies to the whole search: the root and single-edge
-nodes come first, then each subtree gets what is left, and the search
-stops at the first subtree cut short.  Each subtree is self-contained and
+The node budget applies to the whole search: the root and the single-edge
+node come first, then each subtree gets what is left, and the search
+stops at the first subtree cut short; a subtree with no node left, or
+reached after the deadline, is cut before its root, so no graph is
+credited that was not counted.  Each subtree is self-contained and
 workers' results are taken in the same order, a result that overran the
 remaining budget being redone in-process with exactly that budget, so
 certificates (including nodes_explored) do not depend on the worker
@@ -34,8 +42,8 @@ count.  Subtree roots are generated as they are reached, for any worker
 count: a pool is fed them only as its workers take them, and its workers
 are terminated once the search stops.  The time budget is a shared
 absolute deadline, checked as each subtree starts and every 1024 nodes
-inside it.  ``threads`` is capped by the CPU count and the number of
-subtrees, and a cap of 1 starts no pool.
+inside it.  ``threads`` is capped by the CPU count, the number of subtrees
+and the nodes left after depth 1, and a cap of 1 starts no pool.
 """
 
 from __future__ import annotations
@@ -129,10 +137,14 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     Returns (best_e, best_masks, nodes_visited, completed): best_masks are
     the best graph's column masks up to its last nonempty column, at most
     one per edge, and completed is False only when a budget cut the
-    subtree.  The subtree root itself is counted.  Module-level and
-    tuple-argumented so it can cross a process boundary.
+    subtree.  The subtree root itself is counted, and a graph is credited
+    only once its node is: a subtree started past the deadline returns
+    (0, (), 0, False).  Module-level and tuple-argumented so it can cross a
+    process boundary.
     """
     v, w, min_girth, prefix, cap, max_nodes, deadline = args
+    if time.monotonic() > deadline:
+        return 0, (), 0, False
     amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
     # Contraction masks: cmask[x] holds the V-vertices that share a
     # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
@@ -145,10 +157,7 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
         for x in graphcore._bits(amask_w[j]):
             cmask[x] ^= 1 << i
         amask_w[j] |= 1 << i
-    best_e = len(prefix)
-    best_masks = tuple(amask_w[: prefix[-1] // v + 1])
-    if time.monotonic() > deadline:
-        return best_e, best_masks, 0, False
+    best_e, best_masks = 0, ()  # rec credits the prefix when it visits the root
     total_edges = v * w
 
     nodes = 0
@@ -184,8 +193,12 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
         # Candidate edges in edge order: first grow the active column, then
         # open the next one, which finalizes the active column.
         segments = []
-        if col == 0 or deg < prev:
-            segments.append((col, last_m + 1 - col * v))
+        if col == 0:
+            # Class V symmetry: column 0 holds rows 0..d-1, so it grows
+            # only by its next row.
+            segments.append((0, range(last_m + 1, v)[:1]))
+        elif deg < prev:
+            segments.append((col, range(last_m + 1 - col * v, v)))
         opens = col + 1 < w
         if opens and col >= 1 and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
@@ -193,12 +206,12 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
             diff = amask_w[col - 1] ^ amask_w[col]
             opens = not diff or bool(amask_w[col - 1] & (diff & -diff))
         if opens:
-            segments.append((col + 1, 0))
-        for j, first in segments:
+            segments.append((col + 1, range(v)))
+        for j, rows in segments:
             base = j * v
             nbrs = amask_w[j]
             reach = _short_cycle_mask(cmask, nbrs, min_girth)
-            for i in range(first, v):
+            for i in rows:
                 if cmask[i] & reach:
                     continue
                 ibit = 1 << i
@@ -225,12 +238,12 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
 
 
 def _subtree_roots(v: int, w: int):
-    """The two-edge prefixes in edge order: the second edge in column 0, or
-    opening column 1."""
-    for m1 in range(v):
-        yield from ((m1, m2) for m2 in range(m1 + 1, v))
-        if w >= 2:
-            yield from ((m1, m2) for m2 in range(v, 2 * v))
+    """The two-edge prefixes in edge order: the first edge (0, 0) with row 1
+    of column 0, or with each row of column 1."""
+    if v >= 2:
+        yield (0, 1)
+    if w >= 2:
+        yield from ((0, m2) for m2 in range(v, 2 * v))
 
 
 def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) -> None:
@@ -266,15 +279,16 @@ def _search(
     def args(prefix, budget):
         return (v, w, min_girth, prefix, cap, budget, deadline)
 
-    # Depth 0..2 by hand: the root, the single-edge graphs (canonical form
-    # puts the first edge in column 0), then the two-edge subtree roots in
-    # edge order, generated only when the budget leaves room for them.
-    nodes = min(1 + v, max_nodes)
-    best_e, best_masks = (1, (1,)) if nodes > 1 else (0, ())
-    exhaustive = nodes == 1 + v
-    n_tasks = (v * (v - 1) // 2 + (v * v if w >= 2 else 0)) if exhaustive else 0
+    # Depth 0..2 by hand: the root, the single edge (0, 0) (canonical form
+    # puts the first edge in column 0 and column 0 on a prefix of the rows),
+    # then the two-edge subtree roots in edge order, generated as they are
+    # reached.  A subtree starts only with a node left for its root.
+    nodes = min(2, max_nodes)
+    exhaustive = nodes == 2
+    best_e, best_masks = (1, (1,)) if exhaustive else (0, ())
+    n_tasks = ((v > 1) + (v if w > 1 else 0)) if exhaustive else 0
     tasks = _subtree_roots(v, w) if n_tasks else ()
-    workers = min(threads, os.cpu_count() or 1, n_tasks)
+    workers = min(threads, os.cpu_count() or 1, n_tasks, max_nodes - nodes)
 
     with ExitStack() as stack:
         results = repeat(None)  # None: explore the subtree in-process
@@ -292,6 +306,9 @@ def _search(
             )
         for prefix in tasks:
             budget = max_nodes - nodes
+            if not budget:
+                exhaustive = False
+                break
             result = next(results)
             if result is None or result[2] > budget:
                 result = _explore_subtree(args(prefix, budget))

@@ -3,9 +3,9 @@ import multiprocessing
 import os
 import random
 import time
-import tracemalloc
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -122,13 +122,22 @@ class TestSmallExactValues:
 
 class TestBruteForceOracle:
     def test_agreement_on_all_tiny_instances(self):
-        # Full subset enumeration vs the pruned symmetry-broken search.
+        # Full subset enumeration vs the pruned symmetry-broken search, with
+        # v > w too: column 0 then has the most rows that the class-V
+        # symmetry break fixes.  The uncapped search (certify_bound's) runs
+        # to the end of its tree, so a stop at the bound cannot hide an
+        # optimum that the symmetry break lost.
         for g in (6, 8):
             for v in range(1, 9):
                 for w in range(1, 9):
-                    if v * w > 16 or v > w:
+                    if v * w > 16:
                         continue
-                    assert max_size(v, w, g).e_max == brute_force_max(v, w, g), (v, w, g)
+                    expected = brute_force_max(v, w, g)
+                    assert max_size(v, w, g).e_max == expected, (v, w, g)
+                    uncapped = search._search(
+                        v, w, g, v * w, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS, 1
+                    )
+                    assert (uncapped.e_max, uncapped.exhaustive) == (expected, True), (v, w, g)
 
     def test_agreement_on_a_wider_instance(self):
         assert max_size(4, 5, 8).e_max == brute_force_max(4, 5, 8)
@@ -221,20 +230,27 @@ class TestDeterminismAndBudgets:
         assert (a.e_max, a.nodes_explored, a.witness) == (b.e_max, b.nodes_explored, b.witness)
 
     @pytest.mark.parametrize(
-        "v,w,g,nodes", [(7, 5, 8, 16687), (7, 6, 6, 44857), (8, 3, 8, 18), (300, 3, 8, 602)]
+        "v,w,g,nodes", [(7, 5, 8, 9485), (7, 6, 6, 10996), (8, 3, 8, 11), (300, 3, 8, 303)]
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
         assert max_size(v, w, g).nodes_explored == nodes
 
+    def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
+        # g8 8x7 lies below every bound, so only the completed tree proves
+        # 17; with column 0 free it took 12,217,708 nodes.
+        cert = max_size(8, 7, 8)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 380176)
+        assert cert.optimality == "exhaustive"
+
     def test_search_stops_when_its_best_graph_meets_the_bound(self):
-        # g8 8x3 reaches its bound of 10 at its 18th node and stops there,
+        # g8 8x3 reaches its bound of 10 at its 11th node and stops there,
         # proven; a budget one node short leaves it cut at 9 edges.
         assert bounds.bound_report(8, 3, 8).binding_value == 10
-        cut = max_size(8, 3, 8, max_nodes=17)
-        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 17)
-        done = max_size(8, 3, 8, max_nodes=18)
-        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 18)
+        cut = max_size(8, 3, 8, max_nodes=10)
+        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 10)
+        done = max_size(8, 3, 8, max_nodes=11)
+        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 11)
         assert done.witness == max_size(8, 3, 8).witness
 
     def test_certificates_match_the_table(self):
@@ -263,10 +279,12 @@ class TestDeterminismAndBudgets:
             assert one.exhaustive == two.exhaustive
 
     def test_pool_is_fed_only_as_its_workers_take_subtrees(self, monkeypatch):
-        # A real pool of two workers on about 135,000 subtree roots: were
-        # every root handed out before the first result is taken, the search
-        # would overrun its 0.05 s budget by seconds.  g8 300x4 stays below
-        # its bound of 304 for seconds, so no subtree ends the search early.
+        # A real pool of two workers on g8 300x4, which stays below its
+        # bound of 304 for seconds, so no subtree ends the search early: the
+        # workers must stop at the shared 0.05 s deadline and be ended with
+        # the search.  Its 301 subtree roots are too few for an eager feed
+        # to overrun the deadline; test_subtree_roots_are_generated_as_
+        # workers_take_them checks the lazy feed by counting roots instead.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         start = time.monotonic()
         cert = max_size(300, 4, 8, threads=2, max_seconds=0.05)
@@ -284,24 +302,59 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize("max_nodes", [1, 5, 9, 10, 50, 1000])
     def test_node_budget_is_global(self, max_nodes):
-        # 6x7 g8 takes 382,933 nodes, so every budget here cuts it, and a
+        # 6x7 g8 takes 22,637 nodes, so every budget here cuts it, and a
         # cut search has spent exactly its budget.
         cert = max_size(6, 7, 8, max_nodes=max_nodes)
         assert not cert.exhaustive
         assert cert.nodes_explored == max_nodes
         assert cert.witness.e == cert.e_max
 
-    def test_spent_budget_builds_no_subtree(self):
-        # The root and the 1000 single-edge graphs already exceed 10 nodes,
-        # so none of the ~1.5 million subtree roots may be built.
-        tracemalloc.start()
-        try:
-            cert = max_size(1000, 3, 8, max_nodes=10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (10, 1, False)
-        assert peak < 1 << 20
+    def test_no_graph_is_credited_before_its_node_is_counted(self, monkeypatch):
+        # Each counted node adds at most one edge to its parent's graph, so
+        # a search that credits only visited graphs has e_max < its nodes.
+        for max_nodes in range(1, 51):
+            cert = max_size(6, 7, 8, max_nodes=max_nodes)
+            assert cert.e_max < cert.nodes_explored == max_nodes, max_nodes
+            assert cert.witness.e == cert.e_max
+        # A clock that moves a second per reading: the deadline has passed
+        # by the time the first subtree starts, so it credits no prefix.
+        clock = iter(range(10 ** 6))
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        cert = max_size(6, 7, 8, max_seconds=0.5)
+        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (1, 2, False)
+        assert cert.witness.e == cert.e_max
+
+    @staticmethod
+    def count_roots(monkeypatch) -> list:
+        """Make search._subtree_roots record each root it yields, in the
+        returned list."""
+        drawn: list = []
+        roots = search._subtree_roots
+
+        def counted(v, w):
+            for prefix in roots(v, w):
+                drawn.append(prefix)
+                yield prefix
+
+        monkeypatch.setattr(search, "_subtree_roots", counted)
+        return drawn
+
+    @staticmethod
+    def no_subtree(args):
+        raise AssertionError(f"a subtree was started at {args[3]}")
+
+    def test_spent_budget_builds_no_subtree(self, monkeypatch):
+        # The root and the single edge (0, 0) spend a budget of 2 nodes, so
+        # no subtree may start, not even with a budget of 0, no pool may be
+        # made, and the roots after the first are never generated (the
+        # search may draw the first to learn that one remains).
+        drawn = self.count_roots(monkeypatch)
+        monkeypatch.setattr(search, "_explore_subtree", self.no_subtree)
+        pools = record_pools(monkeypatch, 2)
+        cert = max_size(1000, 3, 8, max_nodes=2, threads=2)
+        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (2, 1, False)
+        assert len(drawn) <= 1
+        assert pools == []
 
     @staticmethod
     def cut_in_first_subtree(args):
@@ -311,33 +364,26 @@ class TestDeterminismAndBudgets:
         return 2, (0b11,), 1, False
 
     def test_subtree_roots_are_generated_as_they_run(self, monkeypatch):
-        # A search that ends in its first subtree holds no list of the rest.
+        # A search that ends in its first subtree generates none of the
+        # other 1000 roots.
+        drawn = self.count_roots(monkeypatch)
         monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
-        tracemalloc.start()
-        try:
-            cert = max_size(1000, 3, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (1002, 2, False)
+        cert = max_size(1000, 3, 8)
+        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (3, 2, False)
         assert cert.witness.edges == ((0, 0), (1, 0))
-        assert peak < 1 << 20
+        assert drawn == [(0, 1)]
 
     def test_subtree_roots_are_generated_as_workers_take_them(self, monkeypatch):
         # The same with a pool: it is fed lazily, and it is left once the
-        # first subtree ends the search.  A list of the 59,900 roots alone
-        # would exceed the bound.
+        # first subtree ends the search.  The search's loop and the pool
+        # each draw the first root only.
+        drawn = self.count_roots(monkeypatch)
         monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
         pools = record_pools(monkeypatch, 2)
-        tracemalloc.start()
-        try:
-            cert = max_size(200, 3, 8, threads=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (202, 2, False)
+        cert = max_size(200, 3, 8, threads=2)
+        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (3, 2, False)
         assert cert.witness.edges == ((0, 0), (1, 0))
-        assert peak < 1 << 20
+        assert drawn == [(0, 1), (0, 1)]
         assert [(p.processes, p.exited) for p in pools] == [(2, True)]
 
     def test_subtree_returns_one_mask_per_column_in_use(self):
@@ -355,12 +401,13 @@ class TestDeterminismAndBudgets:
     @pytest.mark.parametrize(
         "v,w,threads,cpus,pools",
         [
-            (2, 2, 100_000, 4, [4]),  # capped by the CPU count
+            (2, 2, 100_000, 4, [3]),  # capped by the 1 + 2 subtrees, below the CPU count
             (2, 2, 100_000, None, []),  # CPU count unknown: one worker, no pool
-            (2, 2, 8, 8, [5]),  # capped by the 1 + 4 subtrees
+            (2, 2, 8, 8, [3]),  # capped by the 1 + 2 subtrees
             (2, 1, 8, 8, []),  # a single subtree: no pool
             (6, 4, 3, 8, [3]),
             (6, 4, 1, 8, []),
+            (6, 4, 100_000, 4, [4]),  # capped by the CPU count, below the 1 + 6 subtrees
         ],
     )
     def test_worker_count(self, monkeypatch, v, w, threads, cpus, pools):
