@@ -217,7 +217,12 @@ def _add_search_parser(sub) -> None:
     p.add_argument("--girth", type=int, choices=(6, 8), default=8)
     p.add_argument("--nodes", type=int, default=search.DEFAULT_MAX_NODES)
     p.add_argument("--timeout", type=float, default=search.DEFAULT_MAX_SECONDS)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); starts no worker",
+    )
     p.set_defaults(func=_cmd_search)
 
 

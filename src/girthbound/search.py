@@ -26,7 +26,8 @@ The tree is cut by
 The tree is split at fixed depth 2 (the first two chosen edges) into
 independent subtrees: the first edge is (0, 0), and the second is row 1
 of column 0 or any row of column 1, so there are at most v + 1 of them.
-They are consumed in edge order and merged by max with
+Their roots are generated as the search reaches them, and the subtrees
+are explored one after another in edge order and merged by max with
 first-in-edge-order ties.  ``exhaustive`` means the maximum is proven, by
 the completed tree or by the bound of (b).
 
@@ -34,25 +35,14 @@ The node budget applies to the whole search: the root and the single-edge
 node come first, then each subtree gets what is left, and the search
 stops at the first subtree cut short; a subtree with no node left, or
 reached after the deadline, is cut before its root, so no graph is
-credited that was not counted.  Each subtree is self-contained and
-workers' results are taken in the same order, a result that overran the
-remaining budget being redone in-process with exactly that budget, so
-certificates (including nodes_explored) do not depend on the worker
-count.  Subtree roots are generated as they are reached, for any worker
-count: a pool is fed them only as its workers take them, and its workers
-are terminated once the search stops.  The time budget is a shared
-absolute deadline, checked as each subtree starts and every 1024 nodes
-inside it.  ``threads`` is capped by the CPU count, the number of subtrees
-and the nodes left after depth 1, and a cap of 1 starts no pool.
+credited that was not counted.  The time budget is a shared absolute
+deadline, checked as each subtree starts and every 1024 nodes inside it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import bounds, graphcore
 from .graphcore import BipartiteGraph
@@ -131,7 +121,15 @@ def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
     return reach
 
 
-def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
+def _explore_subtree(
+    v: int,
+    w: int,
+    min_girth: int,
+    prefix: tuple[int, ...],
+    cap: int,
+    max_nodes: int,
+    deadline: float,
+) -> tuple[int, tuple[int, ...], int, bool]:
     """Explore every extension of a fixed edge prefix.
 
     Returns (best_e, best_masks, nodes_visited, completed): best_masks are
@@ -139,10 +137,8 @@ def _explore_subtree(args) -> tuple[int, tuple[int, ...], int, bool]:
     one per edge, and completed is False only when a budget cut the
     subtree.  The subtree root itself is counted, and a graph is credited
     only once its node is: a subtree started past the deadline returns
-    (0, (), 0, False).  Module-level and tuple-argumented so it can cross a
-    process boundary.
+    (0, (), 0, False).
     """
-    v, w, min_girth, prefix, cap, max_nodes, deadline = args
     if time.monotonic() > deadline:
         return 0, (), 0, False
     amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
@@ -265,7 +261,6 @@ def _search(
     cap: int,
     max_nodes: int,
     max_seconds: float,
-    threads: int,
 ) -> SearchCertificate:
     """The search behind max_size and certify_bound, stopped at ``cap``.
 
@@ -275,10 +270,6 @@ def _search(
     """
     start = time.monotonic()
     deadline = start + max_seconds
-
-    def args(prefix, budget):
-        return (v, w, min_girth, prefix, cap, budget, deadline)
-
     # Depth 0..2 by hand: the root, the single edge (0, 0) (canonical form
     # puts the first edge in column 0 and column 0 on a prefix of the rows),
     # then the two-edge subtree roots in edge order, generated as they are
@@ -286,41 +277,22 @@ def _search(
     nodes = min(2, max_nodes)
     exhaustive = nodes == 2
     best_e, best_masks = (1, (1,)) if exhaustive else (0, ())
-    n_tasks = ((v > 1) + (v if w > 1 else 0)) if exhaustive else 0
-    tasks = _subtree_roots(v, w) if n_tasks else ()
-    workers = min(threads, os.cpu_count() or 1, n_tasks, max_nodes - nodes)
-
-    with ExitStack() as stack:
-        results = repeat(None)  # None: explore the subtree in-process
-        if workers > 1:
-            import multiprocessing
-
-            # imap feeds the pool subtree roots only as its workers take
-            # them and returns their results in task order; leaving the
-            # block terminates the workers still exploring.  Workers get the
-            # whole budget; a result that overruns what is left is redone
-            # in-process.
-            pool = stack.enter_context(multiprocessing.Pool(workers))
-            results = pool.imap(
-                _explore_subtree, (args(prefix, max_nodes) for prefix in _subtree_roots(v, w))
-            )
-        for prefix in tasks:
-            budget = max_nodes - nodes
-            if not budget:
-                exhaustive = False
-                break
-            result = next(results)
-            if result is None or result[2] > budget:
-                result = _explore_subtree(args(prefix, budget))
-            sub_best, sub_masks, sub_nodes, sub_done = result
-            nodes += sub_nodes
-            if sub_best > best_e:
-                best_e, best_masks = sub_best, sub_masks
-            if best_e >= cap:
-                break  # the best graph meets a proven bound, so it is optimal
-            if not sub_done:
-                exhaustive = False
-                break
+    for prefix in _subtree_roots(v, w) if exhaustive else ():
+        budget = max_nodes - nodes
+        if not budget:
+            exhaustive = False
+            break
+        sub_best, sub_masks, sub_nodes, sub_done = _explore_subtree(
+            v, w, min_girth, prefix, cap, budget, deadline
+        )
+        nodes += sub_nodes
+        if sub_best > best_e:
+            best_e, best_masks = sub_best, sub_masks
+        if best_e >= cap:
+            break  # the best graph meets a proven bound, so it is optimal
+        if not sub_done:
+            exhaustive = False
+            break
     assert nodes <= max_nodes
 
     witness = graphcore.from_edges(
@@ -356,11 +328,12 @@ def max_size(
 
     Exhaustive completion is guaranteed under default budgets for
     v*w <= 36.  On budget exhaustion the certificate carries the best
-    graph found so far with ``exhaustive=False``.
+    graph found so far with ``exhaustive=False``.  ``threads`` must be at
+    least 1 and changes nothing: the search runs in the calling process.
     """
     _validate(v, w, max_nodes, max_seconds, threads)
     cap = bounds.bound_report(v, w, min_girth).binding_value
-    return _search(v, w, min_girth, cap, max_nodes, max_seconds, threads)
+    return _search(v, w, min_girth, cap, max_nodes, max_seconds)
 
 
 def certify_bound(
@@ -377,10 +350,11 @@ def certify_bound(
     quadratic one.  The search behind it prunes against no bound, so the
     comparison checks the bound instead of assuming it.  A non-exhaustive
     search cannot certify either way and raises BudgetExhausted.
+    ``threads`` is checked as in max_size and changes nothing.
     """
     _validate(v, w, max_nodes, max_seconds, threads)
     cap = bounds.size_cap(v, w, min_girth)
-    cert = _search(v, w, min_girth, v * w, max_nodes, max_seconds, threads)
+    cert = _search(v, w, min_girth, v * w, max_nodes, max_seconds)
     if not cert.exhaustive:
         raise BudgetExhausted(
             f"search on (v={v}, w={w}, girth>={min_girth}) exceeded its budget"

@@ -277,34 +277,13 @@ def random_fraction_upto(rng: random.Random, hi: Fraction, steps: int = 16) -> F
     return hi * rng.randint(0, steps) / steps
 
 
-class InlinePool:
-    """Stands in for multiprocessing.Pool without starting any process: it
-    records the worker count it was asked for in ``processes``, maps lazily
-    in the calling process, and records in ``exited`` that its context was
-    left."""
+def forbid_processes(monkeypatch) -> None:
+    """Make any start of a child process raise, with several CPUs reported,
+    so a search that sized a pool by the CPU count would fail."""
 
-    imap = staticmethod(map)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a child process was started")
 
-    def __init__(self, processes: int):
-        self.processes = processes
-        self.exited = False
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.exited = True
-
-
-def record_pools(monkeypatch, cpus) -> list:
-    """Replace multiprocessing.Pool by InlinePool and os.cpu_count() by
-    ``cpus``; return the list that collects each pool made."""
-    pools: list = []
-
-    def make(processes):
-        pools.append(InlinePool(processes))
-        return pools[-1]
-
-    monkeypatch.setattr(multiprocessing, "Pool", make)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return pools
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)

@@ -6,7 +6,7 @@ import pytest
 
 from girthbound.cli import main
 from girthbound import bounds, cli, graphcore
-from helpers import record_pools
+from helpers import forbid_processes
 
 
 def run(capsys, *argv):
@@ -340,21 +340,34 @@ class TestSearch:
         payload = json.loads(out)
         assert code == 0 and payload["e_max"] == 8
 
-
-    def test_threads_beyond_the_cpu_count(self, capsys, monkeypatch):
-        # The pool is replaced before the call, so no process is started.
-        pools = record_pools(monkeypatch, 2)
-        code, out, _ = run(
-            capsys, "search", "--v", "2", "--w", "2", "--girth", "8", "--threads", "100000"
+    @staticmethod
+    def payload_without_elapsed(capsys, threads):
+        code, out, err = run(
+            capsys, "search", "--v", "8", "--w", "5", "--girth", "8", "--threads", threads
         )
-        assert code == 0 and json.loads(out)["e_max"] == 3
-        assert [p.processes for p in pools] == [2]  # below the 3 subtrees
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        del payload["elapsed"]
+        return payload
+
+    def test_threads_beyond_the_cpu_count(self, capsys):
+        one = self.payload_without_elapsed(capsys, "1")
+        assert self.payload_without_elapsed(capsys, "100000") == one
+
+    def test_threads_start_no_process(self, capsys, monkeypatch):
+        one = self.payload_without_elapsed(capsys, "1")
+        forbid_processes(monkeypatch)
+        assert self.payload_without_elapsed(capsys, "2") == one
 
     @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
     def test_timeout_must_be_positive(self, capsys, timeout):
         # search owns the value check; main turns its ValueError into exit 2.
         code, _, err = run(capsys, "search", "--v", "3", "--w", "3", "--timeout", timeout)
         assert code == 2 and err == "error: budgets must be positive\n"
+
+    def test_threads_must_be_positive(self, capsys):
+        code, out, err = run(capsys, "search", "--v", "3", "--w", "3", "--threads", "0")
+        assert (code, out, err) == (2, "", "error: threads must be >= 1, got 0\n")
 
 
 class TestTable:

@@ -1,6 +1,4 @@
 import json
-import multiprocessing
-import os
 import random
 import time
 from math import comb
@@ -12,7 +10,7 @@ import pytest
 from girthbound import bounds, graphcore, search
 from girthbound.graphcore import contract, from_edges, girth
 from girthbound.search import BudgetExhausted, certify_bound, max_size
-from helpers import record_pools, short_path_exists
+from helpers import forbid_processes, short_path_exists
 
 # e_max and witness edges for every (v, w) with v*w <= 30 at girths 6 and 8,
 # as the search returned them before it stopped at the least proven bound.
@@ -135,7 +133,7 @@ class TestBruteForceOracle:
                     expected = brute_force_max(v, w, g)
                     assert max_size(v, w, g).e_max == expected, (v, w, g)
                     uncapped = search._search(
-                        v, w, g, v * w, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS, 1
+                        v, w, g, v * w, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS
                     )
                     assert (uncapped.e_max, uncapped.exhaustive) == (expected, True), (v, w, g)
 
@@ -260,6 +258,14 @@ class TestDeterminismAndBudgets:
             got = (cert.e_max, [list(e) for e in cert.witness.edges])
             assert got == (row["e_max"], row["edges"]), row
 
+    @pytest.mark.parametrize("g", [6, 8])
+    def test_default_budgets_complete_up_to_36_cells(self, g):
+        # The table above stops at v*w = 30; the guarantee max_size
+        # documents runs to 36.
+        for v in range(1, 37):
+            for w in range(30 // v + 1, 36 // v + 1):
+                assert max_size(v, w, g).exhaustive, (v, w, g)
+
     def test_time_budget_is_honoured(self):
         start = time.monotonic()
         cert = max_size(30, 30, 6, max_seconds=1.0)
@@ -278,19 +284,15 @@ class TestDeterminismAndBudgets:
             assert one.witness == two.witness
             assert one.exhaustive == two.exhaustive
 
-    def test_pool_is_fed_only_as_its_workers_take_subtrees(self, monkeypatch):
-        # A real pool of two workers on g8 300x4, which stays below its
-        # bound of 304 for seconds, so no subtree ends the search early: the
-        # workers must stop at the shared 0.05 s deadline and be ended with
-        # the search.  Its 301 subtree roots are too few for an eager feed
-        # to overrun the deadline; test_subtree_roots_are_generated_as_
-        # workers_take_them checks the lazy feed by counting roots instead.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        start = time.monotonic()
-        cert = max_size(300, 4, 8, threads=2, max_seconds=0.05)
-        assert time.monotonic() - start < 1.0
-        assert not cert.exhaustive
-        assert multiprocessing.active_children() == []  # the workers were ended
+    def test_threads_start_no_process(self, monkeypatch):
+        one = max_size(8, 5, 8, threads=1)
+        bounded = certify_bound(6, 6, 6, threads=1)
+        forbid_processes(monkeypatch)
+        two = max_size(8, 5, 8, threads=2)
+        assert (two.e_max, two.witness, two.nodes_explored, two.exhaustive) == (
+            one.e_max, one.witness, one.nodes_explored, one.exhaustive
+        )
+        assert certify_bound(6, 6, 6, threads=4) is bounded is True
 
     def test_node_budget_exhaustion(self):
         # g8 6x7 lies below every bound, so 50 nodes cannot prove its 14.
@@ -340,27 +342,25 @@ class TestDeterminismAndBudgets:
         return drawn
 
     @staticmethod
-    def no_subtree(args):
-        raise AssertionError(f"a subtree was started at {args[3]}")
+    def no_subtree(v, w, min_girth, prefix, *budgets):
+        raise AssertionError(f"a subtree was started at {prefix}")
 
     def test_spent_budget_builds_no_subtree(self, monkeypatch):
         # The root and the single edge (0, 0) spend a budget of 2 nodes, so
-        # no subtree may start, not even with a budget of 0, no pool may be
-        # made, and the roots after the first are never generated (the
-        # search may draw the first to learn that one remains).
+        # no subtree may start, not even with a budget of 0, and the roots
+        # after the first are never generated (the search may draw the
+        # first to learn that one remains).
         drawn = self.count_roots(monkeypatch)
         monkeypatch.setattr(search, "_explore_subtree", self.no_subtree)
-        pools = record_pools(monkeypatch, 2)
         cert = max_size(1000, 3, 8, max_nodes=2, threads=2)
         assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (2, 1, False)
         assert len(drawn) <= 1
-        assert pools == []
 
     @staticmethod
-    def cut_in_first_subtree(args):
+    def cut_in_first_subtree(v, w, min_girth, prefix, *budgets):
         """A kernel cut at its root, the first subtree root: edges (0, 0)
         and (1, 0), given as column masks."""
-        assert args[3] == (0, 1)
+        assert prefix == (0, 1)
         return 2, (0b11,), 1, False
 
     def test_subtree_roots_are_generated_as_they_run(self, monkeypatch):
@@ -373,52 +373,17 @@ class TestDeterminismAndBudgets:
         assert cert.witness.edges == ((0, 0), (1, 0))
         assert drawn == [(0, 1)]
 
-    def test_subtree_roots_are_generated_as_workers_take_them(self, monkeypatch):
-        # The same with a pool: it is fed lazily, and it is left once the
-        # first subtree ends the search.  The search's loop and the pool
-        # each draw the first root only.
-        drawn = self.count_roots(monkeypatch)
-        monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
-        pools = record_pools(monkeypatch, 2)
-        cert = max_size(200, 3, 8, threads=2)
-        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (3, 2, False)
-        assert cert.witness.edges == ((0, 0), (1, 0))
-        assert drawn == [(0, 1), (0, 1)]
-        assert [(p.processes, p.exited) for p in pools] == [(2, True)]
-
     def test_subtree_returns_one_mask_per_column_in_use(self):
         # A million columns, of which the best graph after 500 nodes uses
         # 499: the result holds no mask for the unused rest.
         cap = bounds.bound_report(3, 10 ** 6, 8).binding_value
         best_e, masks, nodes, done = search._explore_subtree(
-            (3, 10 ** 6, 8, (0, 1), cap, 500, float("inf"))
+            3, 10 ** 6, 8, (0, 1), cap, 500, float("inf")
         )
         assert (nodes, done) == (500, False)
         assert 0 < len(masks) <= best_e
         assert sum(mask.bit_count() for mask in masks) == best_e
         assert masks[-1]  # the last column in use is not empty
-
-    @pytest.mark.parametrize(
-        "v,w,threads,cpus,pools",
-        [
-            (2, 2, 100_000, 4, [3]),  # capped by the 1 + 2 subtrees, below the CPU count
-            (2, 2, 100_000, None, []),  # CPU count unknown: one worker, no pool
-            (2, 2, 8, 8, [3]),  # capped by the 1 + 2 subtrees
-            (2, 1, 8, 8, []),  # a single subtree: no pool
-            (6, 4, 3, 8, [3]),
-            (6, 4, 1, 8, []),
-            (6, 4, 100_000, 4, [4]),  # capped by the CPU count, below the 1 + 6 subtrees
-        ],
-    )
-    def test_worker_count(self, monkeypatch, v, w, threads, cpus, pools):
-        one = max_size(v, w, 8)
-        made = record_pools(monkeypatch, cpus)
-        cert = max_size(v, w, 8, threads=threads)
-        assert [p.processes for p in made] == pools
-        assert all(p.exited for p in made)
-        assert (cert.e_max, cert.witness, cert.nodes_explored, cert.exhaustive) == (
-            one.e_max, one.witness, one.nodes_explored, one.exhaustive
-        )
 
     def test_certify_raises_on_budget(self):
         with pytest.raises(BudgetExhausted):
