@@ -260,7 +260,7 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize("g", [6, 8])
     def test_default_budgets_complete_up_to_36_cells(self, g):
-        # The table above stops at v*w = 30; the guarantee max_size
+        # certificates.json stops at v*w = 30; the guarantee max_size
         # documents runs to 36.
         for v in range(1, 37):
             for w in range(30 // v + 1, 36 // v + 1):
@@ -292,7 +292,7 @@ class TestDeterminismAndBudgets:
         assert (two.e_max, two.witness, two.nodes_explored, two.exhaustive) == (
             one.e_max, one.witness, one.nodes_explored, one.exhaustive
         )
-        assert certify_bound(6, 6, 6, threads=4) is bounded is True
+        assert certify_bound(6, 6, 6, threads=4) == bounded
 
     def test_node_budget_exhaustion(self):
         # g8 6x7 lies below every bound, so 50 nodes cannot prove its 14.
