@@ -17,15 +17,23 @@ The tree is cut by
   (c) symmetry breaking on class W: W-vertices are used in non-increasing
       degree blocks, with lexicographically non-decreasing neighbour sets
       inside a block, so exactly one column permutation of every graph
-      survives; and on class V at column 0 only: the first W-vertex's
-      neighbours are rows 0..d-1.  This loses no graph: relabel V so that
-      a W-vertex of maximum degree d has neighbours 0..d-1, the least
-      d-set in this order (the lowest differing bit lies in it), and the
-      canonical column order puts that vertex first.
+      survives; and on class V at columns 0 and 1: the first W-vertex's
+      neighbours are rows 0..d-1, and the second's are S | {d, ..., d+k-1}
+      with S = {0} or empty.  This loses no graph (girth >= 6): take a
+      W-vertex A of maximum degree d, then among the rest a W-vertex B of
+      greatest degree, one that meets A if any does; B meets A in at most
+      one row.  Relabel V so that A's neighbours are 0..d-1, their common
+      row (if any) is 0, and B's other neighbours are d, d+1, ...  A is
+      the least d-set in this order (the lowest differing bit lies in it),
+      so the canonical column order puts it first, and B is the least set
+      of its degree among the rest.  Against another such set C: if B
+      holds row 0 and C does not, row 0 decides; otherwise C meets A only
+      in a row B also holds (girth >= 6, and the choice of B), so C's rows
+      outside B lie above B's block d..d+k-1, and that block decides.
 
 The tree is split at fixed depth 2 (the first two chosen edges) into
 independent subtrees: the first edge is (0, 0), and the second is row 1
-of column 0 or any row of column 1, so there are at most v + 1 of them.
+of column 0 or row 0 or 1 of column 1, so there are at most 3 of them.
 Their roots are generated as the search reaches them, and the subtrees
 are explored one after another in edge order and merged by max with
 first-in-edge-order ties.  ``exhaustive`` means the maximum is proven, by
@@ -194,7 +202,13 @@ def _explore_subtree(
             # only by its next row.
             segments.append((0, range(last_m + 1, v)[:1]))
         elif deg < prev:
-            segments.append((col, range(last_m + 1 - col * v, v)))
+            rows = range(last_m + 1 - col * v, v)
+            if col == 1:
+                # Class V symmetry: column 1 is S | {d, d+1, ...} with S
+                # {0} or empty, so from {0} it grows only by row d, and
+                # from a top row x >= d only by row x + 1.
+                rows = range(max(rows.start, prev), v)[:1]
+            segments.append((col, rows))
         opens = col + 1 < w
         if opens and col >= 1 and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
@@ -202,7 +216,8 @@ def _explore_subtree(
             diff = amask_w[col - 1] ^ amask_w[col]
             opens = not diff or bool(amask_w[col - 1] & (diff & -diff))
         if opens:
-            segments.append((col + 1, range(v)))
+            # Column 1 opens only on row 0 or row d = deg(column 0).
+            segments.append((col + 1, range(0, v, deg)[:2] if col == 0 else range(v)))
         for j, rows in segments:
             base = j * v
             nbrs = amask_w[j]
@@ -235,11 +250,12 @@ def _explore_subtree(
 
 def _subtree_roots(v: int, w: int):
     """The two-edge prefixes in edge order: the first edge (0, 0) with row 1
-    of column 0, or with each row of column 1."""
+    of column 0, or with row 0 or row 1 of column 1 (column 0 is then {0},
+    so d = 1)."""
     if v >= 2:
         yield (0, 1)
     if w >= 2:
-        yield from ((0, m2) for m2 in range(v, 2 * v))
+        yield from ((0, m2) for m2 in range(v, 2 * v)[:2])
 
 
 def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) -> None:
@@ -272,8 +288,9 @@ def _search(
     deadline = start + max_seconds
     # Depth 0..2 by hand: the root, the single edge (0, 0) (canonical form
     # puts the first edge in column 0 and column 0 on a prefix of the rows),
-    # then the two-edge subtree roots in edge order, generated as they are
-    # reached.  A subtree starts only with a node left for its root.
+    # then the at most 3 two-edge subtree roots in edge order (column 1
+    # opens on row 0 or row d = 1), generated as they are reached.  A
+    # subtree starts only with a node left for its root.
     nodes = min(2, max_nodes)
     exhaustive = nodes == 2
     best_e, best_masks = (1, (1,)) if exhaustive else (0, ())
@@ -327,7 +344,7 @@ def max_size(
     girth >= min_girth, with a witness and an exhaustiveness certificate.
 
     Exhaustive completion is guaranteed under default budgets for
-    v*w <= 36.  On budget exhaustion the certificate carries the best
+    v*w <= 64.  On budget exhaustion the certificate carries the best
     graph found so far with ``exhaustive=False``.  ``threads`` must be at
     least 1 and changes nothing: the search runs in the calling process.
     """

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from functools import cmp_to_key
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -121,21 +122,20 @@ class TestSmallExactValues:
 class TestBruteForceOracle:
     def test_agreement_on_all_tiny_instances(self):
         # Full subset enumeration vs the pruned symmetry-broken search, with
-        # v > w too: column 0 then has the most rows that the class-V
-        # symmetry break fixes.  The uncapped search (certify_bound's) runs
-        # to the end of its tree, so a stop at the bound cannot hide an
-        # optimum that the symmetry break lost.
+        # v > w too: columns 0 and 1 then have the most rows that the
+        # class-V symmetry break fixes; 5x4, 6x3 and 7x3 take those cases
+        # past 16 cells.  The uncapped search (certify_bound's) runs to the
+        # end of its tree, so a stop at the bound cannot hide an optimum
+        # that the symmetry break lost.
+        pairs = [(v, w) for v in range(1, 9) for w in range(1, 9) if v * w <= 16]
         for g in (6, 8):
-            for v in range(1, 9):
-                for w in range(1, 9):
-                    if v * w > 16:
-                        continue
-                    expected = brute_force_max(v, w, g)
-                    assert max_size(v, w, g).e_max == expected, (v, w, g)
-                    uncapped = search._search(
-                        v, w, g, v * w, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS
-                    )
-                    assert (uncapped.e_max, uncapped.exhaustive) == (expected, True), (v, w, g)
+            for v, w in pairs + [(5, 4), (6, 3), (7, 3)]:
+                expected = brute_force_max(v, w, g)
+                assert max_size(v, w, g).e_max == expected, (v, w, g)
+                uncapped = search._search(
+                    v, w, g, v * w, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS
+                )
+                assert (uncapped.e_max, uncapped.exhaustive) == (expected, True), (v, w, g)
 
     def test_agreement_on_a_wider_instance(self):
         assert max_size(4, 5, 8).e_max == brute_force_max(4, 5, 8)
@@ -180,6 +180,58 @@ class TestSymmetryAndMonotonicity:
     def test_girth8_at_most_girth6(self):
         for v, w in ((3, 3), (4, 4), (4, 5)):
             assert max_size(v, w, 8).e_max <= max_size(v, w, 6).e_max
+
+    @staticmethod
+    def w_order(a: int, b: int) -> int:
+        """The kernel's column order on neighbour masks: higher degree
+        first, then the set holding the lowest differing bit."""
+        if a.bit_count() != b.bit_count():
+            return b.bit_count() - a.bit_count()
+        diff = a ^ b
+        return 0 if not diff else (-1 if a & diff & -diff else 1)
+
+    def test_relabelling_makes_columns_0_and_1_canonical(self):
+        # The lemma behind the class-V symmetry break, without the kernel:
+        # relabel V as the search module's proof does, sort the columns
+        # into the kernel's order, and column 0 is rows 0..d-1 while
+        # column 1 is S | {d, ..., d+k-1} with S = {0} or empty.
+        rng = random.Random(12)
+        for _ in range(400):
+            v, w = rng.randint(1, 8), rng.randint(1, 8)
+            floor = rng.choice((6, 8))
+            adj_v = [[] for _ in range(v)]
+            adj_w = [[] for _ in range(w)]
+            pool = [(i, j) for i in range(v) for j in range(w)]
+            rng.shuffle(pool)
+            for i, j in pool[: rng.randint(0, len(pool))]:
+                if not short_path_exists(adj_v, adj_w, i, j, floor - 2):
+                    adj_v[i].append(j)
+                    adj_w[j].append(i)
+            cols = [set(rows) for rows in adj_w]
+            d = max(map(len, cols))
+            a = rng.choice([j for j in range(w) if len(cols[j]) == d])
+            rest = [j for j in range(w) if j != a]
+            b_rows = set()
+            if rest:
+                top = max(len(cols[j]) for j in rest)
+                tied = [j for j in rest if len(cols[j]) == top]
+                b_rows = cols[rng.choice([j for j in tied if cols[j] & cols[a]] or tied)]
+            common = sorted(cols[a] & b_rows)
+            assert len(common) <= 1  # girth >= 6
+            a_rest = sorted(cols[a] - b_rows)
+            others = [i for i in range(v) if i not in cols[a] | b_rows]
+            rng.shuffle(a_rest)
+            rng.shuffle(others)
+            order = common + a_rest + sorted(b_rows - cols[a]) + others
+            label = {old: new for new, old in enumerate(order)}
+            masks = [sum(1 << label[i] for i in c) for c in cols]
+            masks.sort(key=cmp_to_key(self.w_order))
+            case = (v, w, floor, adj_w)
+            assert masks[0] == (1 << d) - 1, case
+            second = masks[1] if w > 1 else 0
+            k = (second >> d).bit_count()
+            assert second & ((1 << d) - 1) in (0, 1), case
+            assert second >> d == (1 << k) - 1, case
 
 
 class TestBoundCertification:
@@ -228,7 +280,8 @@ class TestDeterminismAndBudgets:
         assert (a.e_max, a.nodes_explored, a.witness) == (b.e_max, b.nodes_explored, b.witness)
 
     @pytest.mark.parametrize(
-        "v,w,g,nodes", [(7, 5, 8, 9485), (7, 6, 6, 10996), (8, 3, 8, 11), (300, 3, 8, 303)]
+        "v,w,g,nodes",
+        [(7, 5, 8, 1223), (7, 6, 6, 2220), (9, 6, 8, 44907), (8, 3, 8, 11), (300, 3, 8, 303)],
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
@@ -236,10 +289,17 @@ class TestDeterminismAndBudgets:
 
     def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
         # g8 8x7 lies below every bound, so only the completed tree proves
-        # 17; with column 0 free it took 12,217,708 nodes.
+        # 17; with column 0 free it took 12,217,708 nodes, and with only
+        # column 0 fixed 380,176.
         cert = max_size(8, 7, 8)
-        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 380176)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 57286)
         assert cert.optimality == "exhaustive"
+
+    def test_g6_9x9_is_proven_within_a_million_nodes(self):
+        # 29 lies below the Reiman bound of 30, so only the completed tree
+        # proves it; with only column 0 fixed it took 3,705,156 nodes.
+        cert = max_size(9, 9, 6, max_nodes=1_000_000)
+        assert (cert.e_max, cert.exhaustive, cert.optimality) == (29, True, "exhaustive")
 
     def test_search_stops_when_its_best_graph_meets_the_bound(self):
         # g8 8x3 reaches its bound of 10 at its 11th node and stops there,
@@ -259,11 +319,11 @@ class TestDeterminismAndBudgets:
             assert got == (row["e_max"], row["edges"]), row
 
     @pytest.mark.parametrize("g", [6, 8])
-    def test_default_budgets_complete_up_to_36_cells(self, g):
+    def test_default_budgets_complete_up_to_64_cells(self, g):
         # certificates.json stops at v*w = 30; the guarantee max_size
-        # documents runs to 36.
-        for v in range(1, 37):
-            for w in range(30 // v + 1, 36 // v + 1):
+        # documents runs to 64.
+        for v in range(1, 65):
+            for w in range(30 // v + 1, 64 // v + 1):
                 assert max_size(v, w, g).exhaustive, (v, w, g)
 
     def test_time_budget_is_honoured(self):
@@ -304,7 +364,7 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize("max_nodes", [1, 5, 9, 10, 50, 1000])
     def test_node_budget_is_global(self, max_nodes):
-        # 6x7 g8 takes 22,637 nodes, so every budget here cuts it, and a
+        # 6x7 g8 takes 5,981 nodes, so every budget here cuts it, and a
         # cut search has spent exactly its budget.
         cert = max_size(6, 7, 8, max_nodes=max_nodes)
         assert not cert.exhaustive
@@ -364,8 +424,8 @@ class TestDeterminismAndBudgets:
         return 2, (0b11,), 1, False
 
     def test_subtree_roots_are_generated_as_they_run(self, monkeypatch):
-        # A search that ends in its first subtree generates none of the
-        # other 1000 roots.
+        # A search that ends in its first subtree generates neither of the
+        # other 2 roots.
         drawn = self.count_roots(monkeypatch)
         monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
         cert = max_size(1000, 3, 8)
