@@ -31,20 +31,17 @@ The tree is cut by
       in a row B also holds (girth >= 6, and the choice of B), so C's rows
       outside B lie above B's block d..d+k-1, and that block decides.
 
-The tree is split at fixed depth 2 (the first two chosen edges) into
-independent subtrees: the first edge is (0, 0), and the second is row 1
-of column 0 or row 0 or 1 of column 1, so there are at most 3 of them.
-Their roots are generated as the search reaches them, and the subtrees
-are explored one after another in edge order and merged by max with
-first-in-edge-order ties.  ``exhaustive`` means the maximum is proven, by
-the completed tree or by the bound of (b).
+The search is one depth-first tree in edge order.  Its root is the empty
+graph, and its one child is the single edge (0, 0), since canonical form
+puts the first edge in column 0 and column 0 on a prefix of the rows.  A
+branch is pruned only when it cannot strictly beat the best graph so far,
+so the witness is the first graph in edge order that reaches the maximum.
+``exhaustive`` means the maximum is proven, by the completed tree or by the
+bound of (b).
 
-The node budget applies to the whole search: the root and the single-edge
-node come first, then each subtree gets what is left, and the search
-stops at the first subtree cut short; a subtree with no node left, or
-reached after the deadline, is cut before its root, so no graph is
-credited that was not counted.  The time budget is a shared absolute
-deadline, checked as each subtree starts and every 1024 nodes inside it.
+The node budget applies to the whole search, the empty root included, and
+a graph is credited only once its node is counted.  The time budget is an
+absolute deadline, checked every 1024 nodes.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ class SearchCertificate:
     ``witness`` achieves ``e_max`` at girth >= ``min_girth`` (re-verified
     through graphcore.girth, independently of the incremental check used
     while searching).  ``exhaustive`` is True when ``e_max`` is proven
-    maximum within budget: every subtree completed, or the search stopped
+    maximum within budget: the tree completed, or the search stopped
     because the witness meets a proven size bound.
     """
 
@@ -129,39 +126,31 @@ def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
     return reach
 
 
-def _explore_subtree(
+def _explore(
     v: int,
     w: int,
     min_girth: int,
-    prefix: tuple[int, ...],
     cap: int,
     max_nodes: int,
     deadline: float,
 ) -> tuple[int, tuple[int, ...], int, bool]:
-    """Explore every extension of a fixed edge prefix.
+    """Explore every canonical extension of the single edge (0, 0).
 
     Returns (best_e, best_masks, nodes_visited, completed): best_masks are
     the best graph's column masks up to its last nonempty column, at most
-    one per edge, and completed is False only when a budget cut the
-    subtree.  The subtree root itself is counted, and a graph is credited
-    only once its node is: a subtree started past the deadline returns
-    (0, (), 0, False).
+    one per edge, and completed is False only when a budget cut the tree.
+    The node (0, 0) itself is counted, and a graph is credited only once its
+    node is: with no node to spend this returns (0, (), 0, False).
     """
-    if time.monotonic() > deadline:
-        return 0, (), 0, False
     amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
+    amask_w[0] = 1
     # Contraction masks: cmask[x] holds the V-vertices that share a
     # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
     # edge (i, j) sets, and removing it clears, each affected bit with one
-    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).
+    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).  With
+    # one edge no two V-vertices share a W-neighbour, so they start empty.
     cmask = [0] * v
-    for m in prefix:
-        j, i = divmod(m, v)
-        cmask[i] ^= amask_w[j]
-        for x in graphcore._bits(amask_w[j]):
-            cmask[x] ^= 1 << i
-        amask_w[j] |= 1 << i
-    best_e, best_masks = 0, ()  # rec credits the prefix when it visits the root
+    best_e, best_masks = 0, ()  # rec credits the edge (0, 0) when it visits it
     total_edges = v * w
 
     nodes = 0
@@ -244,18 +233,8 @@ def _explore_subtree(
                 amask_w[j] = nbrs
         return False
 
-    rec(prefix[-1], len(prefix))
+    rec(0, 1)
     return best_e, best_masks, nodes, completed
-
-
-def _subtree_roots(v: int, w: int):
-    """The two-edge prefixes in edge order: the first edge (0, 0) with row 1
-    of column 0, or with row 0 or row 1 of column 1 (column 0 is then {0},
-    so d = 1)."""
-    if v >= 2:
-        yield (0, 1)
-    if w >= 2:
-        yield from ((0, m2) for m2 in range(v, 2 * v)[:2])
 
 
 def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) -> None:
@@ -285,32 +264,10 @@ def _search(
     reaches it.
     """
     start = time.monotonic()
-    deadline = start + max_seconds
-    # Depth 0..2 by hand: the root, the single edge (0, 0) (canonical form
-    # puts the first edge in column 0 and column 0 on a prefix of the rows),
-    # then the at most 3 two-edge subtree roots in edge order (column 1
-    # opens on row 0 or row d = 1), generated as they are reached.  A
-    # subtree starts only with a node left for its root.
-    nodes = min(2, max_nodes)
-    exhaustive = nodes == 2
-    best_e, best_masks = (1, (1,)) if exhaustive else (0, ())
-    for prefix in _subtree_roots(v, w) if exhaustive else ():
-        budget = max_nodes - nodes
-        if not budget:
-            exhaustive = False
-            break
-        sub_best, sub_masks, sub_nodes, sub_done = _explore_subtree(
-            v, w, min_girth, prefix, cap, budget, deadline
-        )
-        nodes += sub_nodes
-        if sub_best > best_e:
-            best_e, best_masks = sub_best, sub_masks
-        if best_e >= cap:
-            break  # the best graph meets a proven bound, so it is optimal
-        if not sub_done:
-            exhaustive = False
-            break
-    assert nodes <= max_nodes
+    # The empty root is one node; the tree from the edge (0, 0) gets the rest.
+    best_e, best_masks, nodes, exhaustive = _explore(
+        v, w, min_girth, cap, max_nodes - 1, start + max_seconds
+    )
 
     witness = graphcore.from_edges(
         v, w, [(i, j) for j, mask in enumerate(best_masks) for i in graphcore._bits(mask)]
@@ -327,7 +284,7 @@ def _search(
         e_max=best_e,
         witness=witness,
         exhaustive=exhaustive,
-        nodes_explored=nodes,
+        nodes_explored=nodes + 1,
         elapsed=time.monotonic() - start,
     )
 

@@ -286,7 +286,7 @@ def test_huge_exponent_exits_at_once(tmp_path, where):
     raises=RecursionError,
     strict=True,
     reason="the search kernel recurses once per edge "
-    "(ROADMAP: an iterative search kernel with a deterministic deeper split)",
+    "(ROADMAP: an iterative search kernel)",
 )
 def test_search_deeper_than_the_recursion_limit(capsys):
     invoke(capsys, ["search", "--v", "1000", "--w", "3"])

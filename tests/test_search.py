@@ -281,7 +281,16 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize(
         "v,w,g,nodes",
-        [(7, 5, 8, 1223), (7, 6, 6, 2220), (9, 6, 8, 44907), (8, 3, 8, 11), (300, 3, 8, 303)],
+        [
+            (7, 5, 8, 1223),
+            (7, 6, 6, 2220),
+            (9, 6, 8, 44907),
+            (8, 3, 8, 11),
+            (300, 3, 8, 303),
+            # The maximum, found under (0, 0), (1, 0), prunes the two later
+            # branches; restarting each branch with no best graph takes 2,299.
+            (6, 8, 6, 2227),
+        ],
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
@@ -292,7 +301,7 @@ class TestDeterminismAndBudgets:
         # 17; with column 0 free it took 12,217,708 nodes, and with only
         # column 0 fixed 380,176.
         cert = max_size(8, 7, 8)
-        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 57286)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 57206)
         assert cert.optimality == "exhaustive"
 
     def test_g6_9x9_is_proven_within_a_million_nodes(self):
@@ -362,9 +371,9 @@ class TestDeterminismAndBudgets:
         rep = girth(cert.witness)
         assert rep.girth is None or rep.girth >= 8
 
-    @pytest.mark.parametrize("max_nodes", [1, 5, 9, 10, 50, 1000])
+    @pytest.mark.parametrize("max_nodes", [1, 2, 5, 9, 10, 50, 1000])
     def test_node_budget_is_global(self, max_nodes):
-        # 6x7 g8 takes 5,981 nodes, so every budget here cuts it, and a
+        # 6x7 g8 takes 5,921 nodes, so every budget here cuts it, and a
         # cut search has spent exactly its budget.
         cert = max_size(6, 7, 8, max_nodes=max_nodes)
         assert not cert.exhaustive
@@ -379,67 +388,20 @@ class TestDeterminismAndBudgets:
             assert cert.e_max < cert.nodes_explored == max_nodes, max_nodes
             assert cert.witness.e == cert.e_max
         # A clock that moves a second per reading: the deadline has passed
-        # by the time the first subtree starts, so it credits no prefix.
+        # before the first node, and the search stops at its first clock
+        # check, after the root and 1,024 nodes of the tree.
         clock = iter(range(10 ** 6))
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
         cert = max_size(6, 7, 8, max_seconds=0.5)
-        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (1, 2, False)
+        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (13, 1025, False)
+        assert cert.e_max < cert.nodes_explored
         assert cert.witness.e == cert.e_max
-
-    @staticmethod
-    def count_roots(monkeypatch) -> list:
-        """Make search._subtree_roots record each root it yields, in the
-        returned list."""
-        drawn: list = []
-        roots = search._subtree_roots
-
-        def counted(v, w):
-            for prefix in roots(v, w):
-                drawn.append(prefix)
-                yield prefix
-
-        monkeypatch.setattr(search, "_subtree_roots", counted)
-        return drawn
-
-    @staticmethod
-    def no_subtree(v, w, min_girth, prefix, *budgets):
-        raise AssertionError(f"a subtree was started at {prefix}")
-
-    def test_spent_budget_builds_no_subtree(self, monkeypatch):
-        # The root and the single edge (0, 0) spend a budget of 2 nodes, so
-        # no subtree may start, not even with a budget of 0, and the roots
-        # after the first are never generated (the search may draw the
-        # first to learn that one remains).
-        drawn = self.count_roots(monkeypatch)
-        monkeypatch.setattr(search, "_explore_subtree", self.no_subtree)
-        cert = max_size(1000, 3, 8, max_nodes=2, threads=2)
-        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (2, 1, False)
-        assert len(drawn) <= 1
-
-    @staticmethod
-    def cut_in_first_subtree(v, w, min_girth, prefix, *budgets):
-        """A kernel cut at its root, the first subtree root: edges (0, 0)
-        and (1, 0), given as column masks."""
-        assert prefix == (0, 1)
-        return 2, (0b11,), 1, False
-
-    def test_subtree_roots_are_generated_as_they_run(self, monkeypatch):
-        # A search that ends in its first subtree generates neither of the
-        # other 2 roots.
-        drawn = self.count_roots(monkeypatch)
-        monkeypatch.setattr(search, "_explore_subtree", self.cut_in_first_subtree)
-        cert = max_size(1000, 3, 8)
-        assert (cert.nodes_explored, cert.e_max, cert.exhaustive) == (3, 2, False)
-        assert cert.witness.edges == ((0, 0), (1, 0))
-        assert drawn == [(0, 1)]
 
     def test_subtree_returns_one_mask_per_column_in_use(self):
         # A million columns, of which the best graph after 500 nodes uses
-        # 499: the result holds no mask for the unused rest.
+        # 498: the result holds no mask for the unused rest.
         cap = bounds.bound_report(3, 10 ** 6, 8).binding_value
-        best_e, masks, nodes, done = search._explore_subtree(
-            3, 10 ** 6, 8, (0, 1), cap, 500, float("inf")
-        )
+        best_e, masks, nodes, done = search._explore(3, 10 ** 6, 8, cap, 500, float("inf"))
         assert (nodes, done) == (500, False)
         assert 0 < len(masks) <= best_e
         assert sum(mask.bit_count() for mask in masks) == best_e
