@@ -7,15 +7,20 @@ every column sum at least 2*gamma, with equality exactly for constant
 margins.  The doubled-threshold hypothesis is sharp; the single-threshold
 regime admits counterexamples, which this module can hunt for.
 
-All comparisons are exact Fraction arithmetic: the interesting cases live
-near the boundary, where float ties would be untrustworthy.
+Every comparison is exact: the interesting cases live near the boundary,
+where float ties would be untrustworthy.  A matrix keeps its entries once
+as integer numerators over the least common denominator L of its entries.
+At rho = p/q and gamma = r/s, F*phi and F*rhs are integers for
+F = L^3*q*s*v*w, so the verdict is decided by comparing plain ints, and a
+Fraction is built only for each value returned.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .graphcore import BipartiteGraph
 
@@ -32,9 +37,9 @@ __all__ = [
 
 
 # Fraction alone also takes decimals and exponents, and expands "1e99999999"
-# to an exact integer in time that grows with the exponent.  re compiles it
-# at first use: at import it would add 0.3 ms to every process.
-_RATIONAL = r"\s*[+-]?[0-9]+(/[0-9]+)?\s*"
+# to an exact integer in time that grows with the exponent.  [0-9] and not
+# \d: int() would also take other scripts' decimal digits.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def rational(value) -> Fraction:
@@ -43,16 +48,19 @@ def rational(value) -> Fraction:
 
     Anything else raises ValueError, as does a zero denominator.
     """
-    if isinstance(value, Fraction):
+    # Fraction last: isinstance goes through its ABC metaclass.
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            den = int(match[2] or 1)
+            if den:
+                return Fraction(int(match[1]), den)
+            raise ValueError(f"{value!r} has a zero denominator")
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    elif isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if not isinstance(value, str) or not re.fullmatch(_RATIONAL, value):
-        raise ValueError(f"{value!r} is not a rational p or p/q")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{value!r} has a zero denominator") from None
+    raise ValueError(f"{value!r} is not a rational p or p/q")
 
 
 def _parse_row(row) -> tuple[Fraction, ...]:
@@ -62,9 +70,19 @@ def _parse_row(row) -> tuple[Fraction, ...]:
 
 
 class NonnegMatrix:
-    """Rectangular matrix of nonnegative rationals with cached margins."""
+    """Rectangular matrix of nonnegative rationals with cached margins.
 
-    __slots__ = ("entries", "v", "w", "row_sums", "col_sums", "total")
+    ``entries`` holds the rows as Fractions.  The arithmetic uses the
+    private integer form: the least common denominator ``_den`` of the
+    entries, each row's nonzero entries as (column, numerator over
+    ``_den``) pairs in ``_rows``, and the margins' numerators ``_row_nums``
+    and ``_col_nums``.
+    """
+
+    __slots__ = (
+        "entries", "v", "w", "row_sums", "col_sums", "total",
+        "_den", "_rows", "_row_nums", "_col_nums",
+    )
 
     def __init__(self, rows) -> None:
         if not isinstance(rows, (list, tuple)):
@@ -75,26 +93,34 @@ class NonnegMatrix:
         width = len(parsed[0])
         if any(len(row) != width for row in parsed):
             raise ValueError("matrix rows must all have the same length")
-        for row in parsed:
-            for x in row:
-                if x < 0:
-                    raise ValueError(f"matrix entry {x} is negative")
-        self.entries = tuple(parsed)
-        self.v = len(parsed)
-        self.w = width
-        self.row_sums = tuple(sum(row, Fraction(0)) for row in parsed)
-        self.col_sums = tuple(
-            sum((row[j] for row in parsed), Fraction(0)) for j in range(width)
-        )
-        self.total = sum(self.row_sums, Fraction(0))
+        ratios = [[x.as_integer_ratio() for x in row] for row in parsed]
+        if any(p < 0 for row in ratios for p, _ in row):
+            first = next(x for row in parsed for x in row if x < 0)
+            raise ValueError(f"matrix entry {first} is negative")
+        den = lcm(*[q for row in ratios for _, q in row])
+        nums = [[(j, p * (den // q)) for j, (p, q) in enumerate(row) if p] for row in ratios]
+        self._fill(tuple(parsed), den, nums)
+
+    def _fill(self, entries, den, rows) -> None:
+        self.entries = entries
+        self.v, self.w = len(entries), len(entries[0])
+        self._den, self._rows = den, rows
+        self._row_nums = [sum(n for _, n in row) for row in rows]
+        self._col_nums = cols = [0] * self.w
+        for row in rows:
+            for j, n in row:
+                cols[j] += n
+        self.row_sums = tuple(Fraction(n, den) for n in self._row_nums)
+        self.col_sums = tuple(Fraction(n, den) for n in cols)
+        self.total = Fraction(sum(cols), den)
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "NonnegMatrix":
         """0/1 incidence matrix of a bipartite graph (rows = class V).
 
         Built directly: the entries of a validated graph cannot fail the
-        parse and sign checks of ``NonnegMatrix(rows)``, and the margins
-        are the degrees.
+        parse and sign checks of ``NonnegMatrix(rows)``, and the
+        denominator is 1.
         """
         if g.v == 0 or g.w == 0:
             raise ValueError("incidence matrix needs both classes nonempty")
@@ -103,27 +129,38 @@ class NonnegMatrix:
         for i, j in g.edges:
             rows[i][j] = one
         m = cls.__new__(cls)
-        m.entries = tuple(map(tuple, rows))
-        m.v, m.w = g.v, g.w
-        m.row_sums = tuple(map(Fraction, g.degrees_v()))
-        m.col_sums = tuple(map(Fraction, g.degrees_w()))
-        m.total = Fraction(g.e)
+        m._fill(tuple(map(tuple, rows)), 1, [[(j, 1) for j in nb] for nb in g.adj_v])
         return m
 
     def __repr__(self) -> str:
         return f"NonnegMatrix(v={self.v}, w={self.w}, total={self.total})"
 
 
+def _scaled(m: NonnegMatrix, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
+    """(F*phi, F*rhs, F) at rho = p/q and gamma = r/s, all three integers,
+    for F = L^3*q*s*v*w and L the matrix's common denominator.
+
+    With N, R and C the numerators over L of the entries and margins,
+    L^3*q*s*phi = sum_i (R_i q - p L) sum_j N_ij (C_j s - r L), and with
+    E = L*e, L^3*q*s*v*w*rhs = E (E q - p L v)(E s - r L w).
+    """
+    den, v, w = m._den, m.v, m.w
+    pl, rl = p * den, r * den
+    col = [c * s - rl for c in m._col_nums]
+    lhs = sum(
+        (row_num * q - pl) * sum([n * col[j] for j, n in row])
+        for row_num, row in zip(m._row_nums, m._rows)
+    )
+    e = sum(m._row_nums)
+    return lhs * v * w, e * (e * q - pl * v) * (e * s - rl * w), den ** 3 * q * s * v * w
+
+
 def phi(m: NonnegMatrix, rho, gamma) -> Fraction:
     """sum_ij a_ij (a_i* - rho)(a_*j - gamma), exact."""
-    rho, gamma = rational(rho), rational(gamma)
-    total = Fraction(0)
-    for i, row in enumerate(m.entries):
-        ri = m.row_sums[i] - rho
-        for j, a in enumerate(row):
-            if a:
-                total += a * ri * (m.col_sums[j] - gamma)
-    return total
+    scaled, _, den = _scaled(
+        m, *rational(rho).as_integer_ratio(), *rational(gamma).as_integer_ratio()
+    )
+    return Fraction(scaled, den)
 
 
 def psi(m: NonnegMatrix) -> Fraction:
@@ -132,20 +169,15 @@ def psi(m: NonnegMatrix) -> Fraction:
     return phi(m, 0, 0)
 
 
-@dataclass(frozen=True)
-class IneqVerdict:
-    """Exact verdict of the inequality at given (rho, gamma).
+IneqVerdict = namedtuple("IneqVerdict", "phi rhs hypotheses_hold satisfied equality")
+IneqVerdict.__doc__ = """Exact verdict of the inequality at given (rho, gamma).
 
-    ``hypotheses_hold`` records the doubled thresholds (every row sum
-    >= 2*rho, every column sum >= 2*gamma, non-strict so the constant-
-    margin equality case is not excluded); it implies ``satisfied``.
-    """
-
-    phi: Fraction
-    rhs: Fraction
-    hypotheses_hold: bool
-    satisfied: bool
-    equality: bool
+``phi`` and ``rhs`` are Fractions.  ``hypotheses_hold`` records the
+doubled thresholds (every row sum >= 2*rho, every column sum >= 2*gamma,
+non-strict so the constant-margin equality case is not excluded); it
+implies ``satisfied``.  A named tuple: it unpacks, and compares equal to,
+(phi, rhs, hypotheses_hold, satisfied, equality).
+"""
 
 
 def check(m: NonnegMatrix, rho, gamma) -> IneqVerdict:
@@ -154,21 +186,18 @@ def check(m: NonnegMatrix, rho, gamma) -> IneqVerdict:
     Weak hypotheses are not an error: the verdict simply reports
     ``hypotheses_hold = False`` and whatever the comparison says.
     """
-    rho, gamma = rational(rho), rational(gamma)
-    if rho < 0 or gamma < 0:
+    p, q = rational(rho).as_integer_ratio()
+    r, s = rational(gamma).as_integer_ratio()
+    if p < 0 or r < 0:
         raise ValueError("rho and gamma must be nonnegative")
-    value = phi(m, rho, gamma)
-    e = m.total
-    rhs = e * (e / m.v - rho) * (e / m.w - gamma)
-    hyp = all(s >= 2 * rho for s in m.row_sums) and all(
-        s >= 2 * gamma for s in m.col_sums
-    )
+    lhs, rhs, den = _scaled(m, p, q, r, s)
     return IneqVerdict(
-        phi=value,
-        rhs=rhs,
-        hypotheses_hold=hyp,
-        satisfied=value >= rhs,
-        equality=value == rhs,
+        phi=Fraction(lhs, den),
+        rhs=Fraction(rhs, den),
+        hypotheses_hold=min(m._row_nums) * q >= 2 * p * m._den
+        and min(m._col_nums) * s >= 2 * r * m._den,
+        satisfied=lhs >= rhs,
+        equality=lhs == rhs,
     )
 
 
@@ -185,13 +214,9 @@ def find_weak_hypothesis_violation(
     """
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
-    rho_max = min(m.row_sums)
-    gamma_max = min(m.col_sums)
-    for num_r in range(int(rho_max * denominator) + 1):
-        rho = Fraction(num_r, denominator)
-        for num_g in range(int(gamma_max * denominator) + 1):
-            gamma = Fraction(num_g, denominator)
-            verdict = check(m, rho, gamma)
-            if not verdict.satisfied:
-                return rho, gamma
+    for p in range(min(m._row_nums) * denominator // m._den + 1):
+        for r in range(min(m._col_nums) * denominator // m._den + 1):
+            lhs, rhs, _ = _scaled(m, p, denominator, r, denominator)
+            if lhs < rhs:
+                return Fraction(p, denominator), Fraction(r, denominator)
     return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -275,6 +276,54 @@ def random_rational_matrix(rng: random.Random, v: int, w: int, value_cap: int = 
 
 def random_fraction_upto(rng: random.Random, hi: Fraction, steps: int = 16) -> Fraction:
     return hi * rng.randint(0, steps) / steps
+
+
+def rational_oracle(value) -> Fraction:
+    """The rational parser as first written: a regex check, then Fraction's
+    own string parser."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", value):
+        raise ValueError(f"{value!r} is not a rational p or p/q")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
+
+
+def margins_oracle(entries):
+    """(row sums, column sums, total) of rows of Fractions, summed entry by entry."""
+    rows = tuple(sum(row, Fraction(0)) for row in entries)
+    cols = tuple(sum(col, Fraction(0)) for col in zip(*entries))
+    return rows, cols, sum(rows, Fraction(0))
+
+
+def check_oracle(entries, rho, gamma) -> tuple:
+    """(phi, rhs, hypotheses_hold, satisfied, equality) of the mean inequality,
+    by the textbook formulas in Fraction arithmetic throughout."""
+    rows, cols, e = margins_oracle(entries)
+    phi = Fraction(0)
+    for i, row in enumerate(entries):
+        for j, a in enumerate(row):
+            phi += a * (rows[i] - rho) * (cols[j] - gamma)
+    rhs = e * (e / len(rows) - rho) * (e / len(cols) - gamma)
+    hyp = all(s >= 2 * rho for s in rows) and all(s >= 2 * gamma for s in cols)
+    return phi, rhs, hyp, phi >= rhs, phi == rhs
+
+
+def weak_violation_oracle(entries, denominator: int):
+    """The first (rho, gamma) on the grid of step 1/denominator, rho first,
+    with rho <= every row sum and gamma <= every column sum where
+    check_oracle is not satisfied, or None."""
+    rows, cols, _ = margins_oracle(entries)
+    for num_r in range(int(min(rows) * denominator) + 1):
+        for num_g in range(int(min(cols) * denominator) + 1):
+            rho, gamma = Fraction(num_r, denominator), Fraction(num_g, denominator)
+            if not check_oracle(entries, rho, gamma)[3]:
+                return rho, gamma
+    return None
 
 
 def forbid_processes(monkeypatch) -> None:

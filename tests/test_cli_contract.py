@@ -282,6 +282,22 @@ def test_huge_exponent_exits_at_once(tmp_path, where):
         assert f"argument {where}: invalid rational value: '{huge}'" in err.decode()
 
 
+@pytest.mark.parametrize("where", ["entry", "--rho"])
+def test_a_numerator_past_the_digit_limit_is_an_input_error(capsys, tmp_path, where):
+    # int() refuses a string of more than 4,300 digits with ValueError.
+    long = "1" * 4301
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": [[long if where == "entry" else 1]]}))
+    argv = ["awm", str(path), "--rho", long if where == "--rho" else "1", "--gamma", "1"]
+    code, out, err, usage = invoke(capsys, argv)
+    assert (code, out, usage) == (2, "", where == "--rho")
+    assert "Traceback" not in err
+    if where == "entry":
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "argument --rho: invalid rational value" in err
+
+
 @pytest.mark.xfail(
     raises=RecursionError,
     strict=True,

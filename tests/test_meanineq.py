@@ -6,13 +6,17 @@ import pytest
 from girthbound import meanineq
 from girthbound.constructions import pg2_incidence
 from girthbound.graphcore import from_edges
-from girthbound.meanineq import NonnegMatrix, check, phi, psi, rational
+from girthbound.meanineq import IneqVerdict, NonnegMatrix, check, phi, psi, rational
 from helpers import (
+    check_oracle,
     is_biregular,
+    margins_oracle,
     random_bipartite,
     random_fraction_upto,
     random_min_degree2,
     random_rational_matrix,
+    rational_oracle,
+    weak_violation_oracle,
 )
 
 COUNTEREXAMPLE_1 = [[2, 5], [4, 0]]
@@ -23,7 +27,7 @@ class TestRational:
     @pytest.mark.parametrize(
         "value,want",
         [("4", 4), (" 3/2 ", Fraction(3, 2)), ("-1/2", Fraction(-1, 2)), ("+0/7", 0),
-         (7, 7), (Fraction(5, 3), Fraction(5, 3))],
+         (7, 7), (Fraction(5, 3), Fraction(5, 3)), ("007/008", Fraction(7, 8))],
     )
     def test_documented_forms(self, value, want):
         got = rational(value)
@@ -31,12 +35,36 @@ class TestRational:
 
     # Decimals and exponents are refused before Fraction, which would take
     # time growing with the exponent to expand "1e99999999".
+    # int() refuses more than 4,300 digits (sys.get_int_max_str_digits).
     @pytest.mark.parametrize(
-        "value", ["1.5", "1e3", "1/0", "", " ", "x", "1/-2", "1_000", "/2", "nan", True, 1.5, None]
+        "value",
+        ["1.5", "1e3", "1/0", "0/0", "", " ", "x", "1/-2", "1 / 2", "+-1", "\u0661", "1_000",
+         "/2", "nan", pytest.param("9" * 4301, id="4301-digits"), True, 1.5, None],
     )
     def test_everything_else_is_refused(self, value):
         with pytest.raises(ValueError):
             rational(value)
+
+    def test_same_verdict_as_the_two_regex_parser(self):
+        # Random strings over the characters the grammar turns on, each
+        # accepted with the same value by both parsers or refused by both.
+        rng = random.Random(37)
+        alphabet = "0123456789+-/ \t\n\u00a0\u0661\u0966_.e"
+        cases = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))) for _ in range(20000)]
+        cases += [f"{rng.choice(['', '+', '-', ' '])}{rng.randint(0, 999)}/{rng.randint(0, 99)} "
+                  for _ in range(2000)]
+        accepted = 0
+        for value in cases:
+            try:
+                want = rational_oracle(value)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rational(value)
+                continue
+            got = rational(value)
+            assert got == want and type(got) is Fraction, value
+            accepted += 1
+        assert 2000 < accepted < len(cases)
 
 
 class TestMatrix:
@@ -256,7 +284,130 @@ class TestGraphBridge:
         assert count_paths3(g) == e * (e / 4 - 1) * (e / 5 - 1)
 
 
+def random_entry(rng: random.Random):
+    """An int, a "p/q" string or a Fraction, zero one time in five, with a
+    denominator that divides 2^3 * 3^2 * 5 * 7 * 11."""
+    if rng.random() < 0.2:
+        return rng.choice([0, "0/3", Fraction(0)])
+    den = rng.choice([1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 15, 22, 63])
+    num = rng.randint(1, 5 * den)
+    return rng.choice([num // den or 1, f"{num}/{den}", Fraction(num, den)])
+
+
+def perturbed_counterexample(rng: random.Random) -> list[list]:
+    """A counterexample with its rows and columns permuted and 0, 1 or 1/2
+    added to one entry."""
+    base = rng.choice([COUNTEREXAMPLE_1, COUNTEREXAMPLE_2])
+    cols = rng.sample(range(len(base[0])), k=len(base[0]))
+    rows = [[row[j] for j in cols] for row in rng.sample(base, k=len(base))]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] += rng.choice([0, 1, Fraction(1, 2)])
+    return rows
+
+
+def assert_agrees_with_oracle(m: NonnegMatrix, rows, rho, gamma) -> None:
+    entries = tuple(tuple(map(rational_oracle, row)) for row in rows)
+    assert m.entries == entries
+    assert (m.v, m.w) == (len(rows), len(rows[0]))
+    assert (m.row_sums, m.col_sums, m.total) == margins_oracle(entries)
+    margins = [*m.row_sums, *m.col_sums, m.total]
+    assert all(type(x) is Fraction for row in m.entries for x in (*row, *margins))
+    verdict = check(m, rho, gamma)
+    want = check_oracle(entries, rational_oracle(rho), rational_oracle(gamma))
+    assert tuple(verdict) == want, (rows, rho, gamma)
+    assert [type(x) for x in verdict] == [Fraction, Fraction, bool, bool, bool]
+    assert phi(m, rho, gamma) == want[0]
+    assert psi(m) == check_oracle(entries, 0, 0)[0]
+
+
+class TestOracle:
+    """The integer kernel against Fraction arithmetic entry by entry."""
+
+    def test_random_matrices(self):
+        # rho and gamma have prime denominators 13..23, coprime to every
+        # entry's, and reach the least margin: past the doubled threshold
+        # at half of it, so the hypotheses fail in about half the cases.
+        # One matrix in four is a perturbed counterexample, so that some
+        # verdicts are not satisfied.
+        rng = random.Random(41)
+        outcomes = set()
+        for k in range(1500):
+            if k % 4:
+                v, w = rng.randint(1, 6), rng.randint(1, 6)
+                rows = [[random_entry(rng) for _ in range(w)] for _ in range(v)]
+            else:
+                rows = perturbed_counterexample(rng)
+            m = NonnegMatrix(rows)
+            q, s = rng.choice([13, 17, 19, 23]), rng.choice([13, 17, 19, 23])
+            rho = Fraction(rng.randint(0, int(q * min(m.row_sums))), q)
+            gamma = Fraction(rng.randint(0, int(s * min(m.col_sums))), s)
+            assert_agrees_with_oracle(m, rows, rng.choice([rho, str(rho)]), gamma)
+            verdict = check(m, rho, gamma)
+            outcomes.add((verdict.hypotheses_hold, verdict.satisfied))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_constant_margins_and_the_zero_matrix(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            v, w = rng.randint(1, 6), rng.randint(1, 6)
+            c = random_entry(rng)
+            rows = [[c] * w for _ in range(v)]
+            m = NonnegMatrix(rows)
+            rho = random_fraction_upto(rng, min(m.row_sums) / 2)
+            gamma = random_fraction_upto(rng, min(m.col_sums) / 2)
+            assert_agrees_with_oracle(m, rows, rho, gamma)
+            assert check(m, rho, gamma).equality
+        zero = [[0] * 4 for _ in range(3)]
+        assert_agrees_with_oracle(NonnegMatrix(zero), zero, Fraction(1, 3), 2)
+
+    def test_entries_with_900_distinct_prime_denominators(self):
+        # The common denominator is the product of the first 900 primes,
+        # a number of about 29,000 bits.
+        primes = []
+        n = 2
+        while len(primes) < 900:
+            if all(n % p for p in primes if p * p <= n):
+                primes.append(n)
+            n += 1
+        rows = [[f"1/{primes[30 * i + j]}" for j in range(30)] for i in range(30)]
+        m = NonnegMatrix(rows)
+        rho, gamma = Fraction(min(m.row_sums) / 3), Fraction(1, 7919)
+        assert_agrees_with_oracle(m, rows, rho, gamma)
+        assert check(m, rho, gamma).hypotheses_hold
+
+
 class TestWeakHypothesisSearch:
+    @pytest.mark.parametrize(
+        "rows,found",
+        [(COUNTEREXAMPLE_1, [(0, 5)] * 4),
+         (COUNTEREXAMPLE_2, [(1, 1), (Fraction(1, 2), 1), (Fraction(2, 3), 1), (Fraction(1, 2), 1)])],
+    )
+    def test_pinned_on_both_counterexamples(self, rows, found):
+        m = NonnegMatrix(rows)
+        for denominator, pair in enumerate(found, start=1):
+            got = meanineq.find_weak_hypothesis_violation(m, denominator)
+            assert got == pair == weak_violation_oracle(m.entries, denominator)
+            assert all(type(x) is Fraction for x in got)
+
+    def test_agrees_with_oracle_on_random_matrices(self):
+        # Half are random, with entries 0..3 and 1/2 to keep the margins,
+        # and so the grid, small; they rarely violate the inequality.  Of
+        # the perturbed counterexamples about half still do.
+        rng = random.Random(47)
+        found = 0
+        for k in range(50):
+            if k % 2:
+                v, w = rng.randint(2, 4), rng.randint(2, 4)
+                rows = [[rng.choice([0, 0, 1, 2, 3, "1/2"]) for _ in range(w)] for _ in range(v)]
+            else:
+                rows = perturbed_counterexample(rng)
+            m = NonnegMatrix(rows)
+            denominator = rng.randint(1, 4)
+            got = meanineq.find_weak_hypothesis_violation(m, denominator)
+            assert got == weak_violation_oracle(m.entries, denominator), (rows, denominator)
+            found += got is not None
+        assert 0 < found < 50
+
     def test_finds_violations_for_both_counterexamples(self):
         m1 = NonnegMatrix(COUNTEREXAMPLE_1)
         found = meanineq.find_weak_hypothesis_violation(m1, denominator=1)
