@@ -21,6 +21,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .graphcore import BipartiteGraph
 
@@ -74,14 +75,14 @@ class NonnegMatrix:
 
     ``entries`` holds the rows as Fractions.  The arithmetic uses the
     private integer form: the least common denominator ``_den`` of the
-    entries, each row's nonzero entries as (column, numerator over
-    ``_den``) pairs in ``_rows``, and the margins' numerators ``_row_nums``
-    and ``_col_nums``.
+    entries, each row's nonzero entries as column indices (``_cols``) and
+    numerators over ``_den`` (``_nums``), and the margins' numerators
+    ``_row_nums`` and ``_col_nums``.
     """
 
     __slots__ = (
         "entries", "v", "w", "row_sums", "col_sums", "total",
-        "_den", "_rows", "_row_nums", "_col_nums",
+        "_den", "_cols", "_nums", "_row_nums", "_col_nums",
     )
 
     def __init__(self, rows) -> None:
@@ -93,26 +94,33 @@ class NonnegMatrix:
         width = len(parsed[0])
         if any(len(row) != width for row in parsed):
             raise ValueError("matrix rows must all have the same length")
-        ratios = [[x.as_integer_ratio() for x in row] for row in parsed]
-        if any(p < 0 for row in ratios for p, _ in row):
-            first = next(x for row in parsed for x in row if x < 0)
-            raise ValueError(f"matrix entry {first} is negative")
-        den = lcm(*[q for row in ratios for _, q in row])
-        nums = [[(j, p * (den // q)) for j, (p, q) in enumerate(row) if p] for row in ratios]
-        self._fill(tuple(parsed), den, nums)
+        den = lcm(*[x.denominator for row in parsed for x in row])
+        cols, nums = [], []
+        for row in parsed:
+            row_cols, row_nums = [], []
+            for j, x in enumerate(row):
+                p, q = x.as_integer_ratio()
+                if p:
+                    if p < 0:
+                        raise ValueError(f"matrix entry {x} is negative")
+                    row_cols.append(j)
+                    row_nums.append(p * (den // q))
+            cols.append(row_cols)
+            nums.append(row_nums)
+        self._fill(tuple(parsed), den, cols, nums)
 
-    def _fill(self, entries, den, rows) -> None:
+    def _fill(self, entries, den, cols, nums) -> None:
         self.entries = entries
         self.v, self.w = len(entries), len(entries[0])
-        self._den, self._rows = den, rows
-        self._row_nums = [sum(n for _, n in row) for row in rows]
-        self._col_nums = cols = [0] * self.w
-        for row in rows:
-            for j, n in row:
-                cols[j] += n
-        self.row_sums = tuple(Fraction(n, den) for n in self._row_nums)
-        self.col_sums = tuple(Fraction(n, den) for n in cols)
-        self.total = Fraction(sum(cols), den)
+        self._den, self._cols, self._nums = den, cols, nums
+        self._row_nums = list(map(sum, nums))
+        self._col_nums = col_nums = [0] * self.w
+        for row_cols, row_nums in zip(cols, nums):
+            for j, p in zip(row_cols, row_nums):
+                col_nums[j] += p
+        self.row_sums = tuple(map(Fraction, self._row_nums, [den] * self.v))
+        self.col_sums = tuple(map(Fraction, col_nums, [den] * self.w))
+        self.total = Fraction(sum(col_nums), den)
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph) -> "NonnegMatrix":
@@ -129,7 +137,12 @@ class NonnegMatrix:
         for i, j in g.edges:
             rows[i][j] = one
         m = cls.__new__(cls)
-        m._fill(tuple(map(tuple, rows)), 1, [[(j, 1) for j in nb] for nb in g.adj_v])
+        m._fill(
+            tuple(map(tuple, rows)),
+            1,
+            list(map(list, g.adj_v)),
+            [[1] * len(nb) for nb in g.adj_v],
+        )
         return m
 
     def __repr__(self) -> str:
@@ -146,11 +159,10 @@ def _scaled(m: NonnegMatrix, p: int, q: int, r: int, s: int) -> tuple[int, int, 
     """
     den, v, w = m._den, m.v, m.w
     pl, rl = p * den, r * den
-    col = [c * s - rl for c in m._col_nums]
-    lhs = sum(
-        (row_num * q - pl) * sum([n * col[j] for j, n in row])
-        for row_num, row in zip(m._row_nums, m._rows)
-    )
+    col = [c * s - rl for c in m._col_nums].__getitem__
+    lhs = 0
+    for row_num, cols, nums in zip(m._row_nums, m._cols, m._nums):
+        lhs += (row_num * q - pl) * sum(map(mul, nums, map(col, cols)))
     e = sum(m._row_nums)
     return lhs * v * w, e * (e * q - pl * v) * (e * s - rl * w), den ** 3 * q * s * v * w
 

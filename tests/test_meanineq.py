@@ -6,7 +6,7 @@ import pytest
 from girthbound import meanineq
 from girthbound.constructions import pg2_incidence
 from girthbound.graphcore import from_edges
-from girthbound.meanineq import IneqVerdict, NonnegMatrix, check, phi, psi, rational
+from girthbound.meanineq import NonnegMatrix, check, phi, psi, rational
 from helpers import (
     check_oracle,
     is_biregular,
@@ -45,7 +45,7 @@ class TestRational:
         with pytest.raises(ValueError):
             rational(value)
 
-    def test_same_verdict_as_the_two_regex_parser(self):
+    def test_same_verdict_as_the_regex_then_fraction_parser(self):
         # Random strings over the characters the grammar turns on, each
         # accepted with the same value by both parsers or refused by both.
         rng = random.Random(37)
@@ -305,7 +305,9 @@ def perturbed_counterexample(rng: random.Random) -> list[list]:
     return rows
 
 
-def assert_agrees_with_oracle(m: NonnegMatrix, rows, rho, gamma) -> None:
+def assert_agrees_with_oracle(m: NonnegMatrix, rows, rho, gamma):
+    """Check every slot of m and every value at (rho, gamma) against the
+    Fraction oracles; return the verdict."""
     entries = tuple(tuple(map(rational_oracle, row)) for row in rows)
     assert m.entries == entries
     assert (m.v, m.w) == (len(rows), len(rows[0]))
@@ -318,6 +320,7 @@ def assert_agrees_with_oracle(m: NonnegMatrix, rows, rho, gamma) -> None:
     assert [type(x) for x in verdict] == [Fraction, Fraction, bool, bool, bool]
     assert phi(m, rho, gamma) == want[0]
     assert psi(m) == check_oracle(entries, 0, 0)[0]
+    return verdict
 
 
 class TestOracle:
@@ -341,8 +344,7 @@ class TestOracle:
             q, s = rng.choice([13, 17, 19, 23]), rng.choice([13, 17, 19, 23])
             rho = Fraction(rng.randint(0, int(q * min(m.row_sums))), q)
             gamma = Fraction(rng.randint(0, int(s * min(m.col_sums))), s)
-            assert_agrees_with_oracle(m, rows, rng.choice([rho, str(rho)]), gamma)
-            verdict = check(m, rho, gamma)
+            verdict = assert_agrees_with_oracle(m, rows, rng.choice([rho, str(rho)]), gamma)
             outcomes.add((verdict.hypotheses_hold, verdict.satisfied))
         assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -355,8 +357,7 @@ class TestOracle:
             m = NonnegMatrix(rows)
             rho = random_fraction_upto(rng, min(m.row_sums) / 2)
             gamma = random_fraction_upto(rng, min(m.col_sums) / 2)
-            assert_agrees_with_oracle(m, rows, rho, gamma)
-            assert check(m, rho, gamma).equality
+            assert assert_agrees_with_oracle(m, rows, rho, gamma).equality
         zero = [[0] * 4 for _ in range(3)]
         assert_agrees_with_oracle(NonnegMatrix(zero), zero, Fraction(1, 3), 2)
 
@@ -371,9 +372,8 @@ class TestOracle:
             n += 1
         rows = [[f"1/{primes[30 * i + j]}" for j in range(30)] for i in range(30)]
         m = NonnegMatrix(rows)
-        rho, gamma = Fraction(min(m.row_sums) / 3), Fraction(1, 7919)
-        assert_agrees_with_oracle(m, rows, rho, gamma)
-        assert check(m, rho, gamma).hypotheses_hold
+        rho, gamma = min(m.row_sums) / 3, Fraction(1, 7919)
+        assert assert_agrees_with_oracle(m, rows, rho, gamma).hypotheses_hold
 
 
 class TestWeakHypothesisSearch:
