@@ -18,6 +18,7 @@ Fraction is built only for each value returned.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -47,15 +48,23 @@ def rational(value) -> Fraction:
     """A Fraction, an int that is not a bool, or a string "p" or "p/q" with
     an optional sign and surrounding whitespace, as a Fraction.
 
-    Anything else raises ValueError, as does a zero denominator.
+    Anything else raises ValueError, as does a zero denominator or a
+    numerator or denominator with more digits than int() converts
+    (sys.get_int_max_str_digits(), 4,300 by default).
     """
     # Fraction last: isinstance goes through its ABC metaclass.
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if match:
-            den = int(match[2] or 1)
+            try:
+                num, den = int(match[1]), int(match[2] or 1)
+            except ValueError:  # only past int()'s digit limit
+                raise ValueError(
+                    f"rational {value.strip()[:12]}... has more digits than Python"
+                    f" converts to an integer (at most {sys.get_int_max_str_digits()})"
+                ) from None
             if den:
-                return Fraction(int(match[1]), den)
+                return Fraction(num, den)
             raise ValueError(f"{value!r} has a zero denominator")
     elif isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
@@ -64,31 +73,29 @@ def rational(value) -> Fraction:
     raise ValueError(f"{value!r} is not a rational p or p/q")
 
 
-def _parse_row(row) -> tuple[Fraction, ...]:
-    if not isinstance(row, (list, tuple)):
-        raise ValueError(f"matrix row {row!r} is not a list")
-    return tuple(map(rational, row))
-
-
 class NonnegMatrix:
     """Rectangular matrix of nonnegative rationals with cached margins.
 
-    ``entries`` holds the rows as Fractions.  The arithmetic uses the
-    private integer form: the least common denominator ``_den`` of the
-    entries, each row's nonzero entries as column indices (``_cols``) and
-    numerators over ``_den`` (``_nums``), and the margins' numerators
-    ``_row_nums`` and ``_col_nums``.
+    The margins ``row_sums``, ``col_sums`` and ``total`` are Fractions.  The
+    entries are kept only in the private integer form: the least common
+    denominator ``_den`` of the entries, each row's nonzero entries as
+    column indices (``_cols``) and numerators over ``_den`` (``_nums``),
+    and the margins' numerators ``_row_nums`` and ``_col_nums``.
     """
 
     __slots__ = (
-        "entries", "v", "w", "row_sums", "col_sums", "total",
+        "v", "w", "row_sums", "col_sums", "total",
         "_den", "_cols", "_nums", "_row_nums", "_col_nums",
     )
 
     def __init__(self, rows) -> None:
         if not isinstance(rows, (list, tuple)):
             raise ValueError(f"matrix rows {rows!r} are not a list")
-        parsed = [_parse_row(row) for row in rows]
+        parsed = []
+        for row in rows:
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"matrix row {row!r} is not a list")
+            parsed.append(list(map(rational, row)))
         if not parsed or not parsed[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(parsed[0])
@@ -107,11 +114,10 @@ class NonnegMatrix:
                     row_nums.append(p * (den // q))
             cols.append(row_cols)
             nums.append(row_nums)
-        self._fill(tuple(parsed), den, cols, nums)
+        self._fill(width, den, cols, nums)
 
-    def _fill(self, entries, den, cols, nums) -> None:
-        self.entries = entries
-        self.v, self.w = len(entries), len(entries[0])
+    def _fill(self, width, den, cols, nums) -> None:
+        self.v, self.w = len(cols), width
         self._den, self._cols, self._nums = den, cols, nums
         self._row_nums = list(map(sum, nums))
         self._col_nums = col_nums = [0] * self.w
@@ -132,17 +138,8 @@ class NonnegMatrix:
         """
         if g.v == 0 or g.w == 0:
             raise ValueError("incidence matrix needs both classes nonempty")
-        zero, one = Fraction(0), Fraction(1)
-        rows = [[zero] * g.w for _ in range(g.v)]
-        for i, j in g.edges:
-            rows[i][j] = one
         m = cls.__new__(cls)
-        m._fill(
-            tuple(map(tuple, rows)),
-            1,
-            list(map(list, g.adj_v)),
-            [[1] * len(nb) for nb in g.adj_v],
-        )
+        m._fill(g.w, 1, list(map(list, g.adj_v)), [[1] * len(nb) for nb in g.adj_v])
         return m
 
     def __repr__(self) -> str:

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from girthbound import meanineq
-from girthbound.constructions import pg2_incidence
-from girthbound.graphcore import from_edges
+from girthbound.constructions import pg2_incidence, wq_incidence
+from girthbound.graphcore import count_paths3, from_edges
 from girthbound.meanineq import NonnegMatrix, check, phi, psi, rational
 from helpers import (
     check_oracle,
@@ -96,10 +97,25 @@ class TestMatrix:
             NonnegMatrix([])
 
     def test_from_graph(self):
-        g = from_edges(2, 3, [(0, 0), (1, 2)])
+        g = from_edges(2, 3, [(0, 0), (0, 2), (1, 2)])
         m = NonnegMatrix.from_graph(g)
-        assert m.entries[0][0] == 1 and m.entries[1][2] == 1
-        assert m.total == 2
+        assert (m.v, m.w) == (2, 3)
+        assert m.row_sums == (2, 1) and m.col_sums == (1, 0, 2)
+        assert m.total == 3
+        assert phi(m, 1, 1) == count_paths3(g) == 1
+
+    def test_from_graph_stores_the_edges_not_the_dense_matrix(self):
+        # W(7): 400 x 400 with 3,200 edges.  A dense v*w copy alone would
+        # take well over 1 MiB.
+        g = wq_incidence(7)
+        tracemalloc.start()
+        try:
+            m = NonnegMatrix.from_graph(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.total == g.e == 3200
+        assert peak < 1 << 20
 
     def test_from_graph_equals_parsed_rows(self):
         rng = random.Random(29)
@@ -112,8 +128,7 @@ class TestMatrix:
             parsed = NonnegMatrix(rows)
             for slot in NonnegMatrix.__slots__:
                 assert getattr(direct, slot) == getattr(parsed, slot), slot
-            values = [x for row in direct.entries for x in row]
-            values += [*direct.row_sums, *direct.col_sums, direct.total]
+            values = [*direct.row_sums, *direct.col_sums, direct.total]
             assert all(type(x) is Fraction for x in values)
 
     def test_from_graph_needs_both_classes(self):
@@ -246,8 +261,6 @@ class TestCheck:
 
 class TestGraphBridge:
     def test_phi_counts_paths3(self):
-        from girthbound.graphcore import count_paths3
-
         rng = random.Random(13)
         for _ in range(150):
             g = random_bipartite(rng, max_side=10)
@@ -259,8 +272,6 @@ class TestGraphBridge:
     def test_paths3_corollary(self):
         # Minimum degree 2 gives paths3 >= e(e/v - 1)(e/w - 1), equality
         # exactly for biregular graphs.
-        from girthbound.graphcore import count_paths3
-
         rng = random.Random(17)
         equal_seen = strict_seen = 0
         for _ in range(200):
@@ -305,15 +316,18 @@ def perturbed_counterexample(rng: random.Random) -> list[list]:
     return rows
 
 
+def oracle_entries(rows) -> list[list[Fraction]]:
+    """The rows as Fractions, parsed by the oracle parser."""
+    return [list(map(rational_oracle, row)) for row in rows]
+
+
 def assert_agrees_with_oracle(m: NonnegMatrix, rows, rho, gamma):
-    """Check every slot of m and every value at (rho, gamma) against the
-    Fraction oracles; return the verdict."""
-    entries = tuple(tuple(map(rational_oracle, row)) for row in rows)
-    assert m.entries == entries
+    """Check the shape and margins of m and every value at (rho, gamma)
+    against the Fraction oracles; return the verdict."""
+    entries = oracle_entries(rows)
     assert (m.v, m.w) == (len(rows), len(rows[0]))
     assert (m.row_sums, m.col_sums, m.total) == margins_oracle(entries)
-    margins = [*m.row_sums, *m.col_sums, m.total]
-    assert all(type(x) is Fraction for row in m.entries for x in (*row, *margins))
+    assert all(type(x) is Fraction for x in (*m.row_sums, *m.col_sums, m.total))
     verdict = check(m, rho, gamma)
     want = check_oracle(entries, rational_oracle(rho), rational_oracle(gamma))
     assert tuple(verdict) == want, (rows, rho, gamma)
@@ -386,7 +400,7 @@ class TestWeakHypothesisSearch:
         m = NonnegMatrix(rows)
         for denominator, pair in enumerate(found, start=1):
             got = meanineq.find_weak_hypothesis_violation(m, denominator)
-            assert got == pair == weak_violation_oracle(m.entries, denominator)
+            assert got == pair == weak_violation_oracle(oracle_entries(rows), denominator)
             assert all(type(x) is Fraction for x in got)
 
     def test_agrees_with_oracle_on_random_matrices(self):
@@ -404,7 +418,8 @@ class TestWeakHypothesisSearch:
             m = NonnegMatrix(rows)
             denominator = rng.randint(1, 4)
             got = meanineq.find_weak_hypothesis_violation(m, denominator)
-            assert got == weak_violation_oracle(m.entries, denominator), (rows, denominator)
+            want = weak_violation_oracle(oracle_entries(rows), denominator)
+            assert got == want, (rows, denominator)
             found += got is not None
         assert 0 < found < 50
 
