@@ -11,7 +11,7 @@ the girth-8 cubic is P(v, w, e) = e^3 - (v+w)*e^2 + 2*v*w*e - v^2*w^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -182,15 +182,12 @@ def balanced_approx_at_cube(k: int) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class CubicDiagnostics:
+class CubicDiagnostics(namedtuple("CubicDiagnostics", "s p D")):
     """Symmetric-function view of the cubic: s = v+w, p = vw, and the
     discriminant certificate D = 27p^2 + 4s^3 - 36sp - 4s^2 + 32p whose
     positivity gives the cubic exactly one positive root in e."""
 
-    s: int
-    p: int
-    D: int
+    __slots__ = ()
 
 
 def discriminant_from_sp(s: int, p: int) -> int:
@@ -209,19 +206,14 @@ def growth_delta(v: int, w: int, e: int) -> int:
     return 2 * e * e + (1 - 2 * v) * e + (w - w * w) * (2 * v + 1) - v
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "v w girth_target values binding")):
     """All applicable bound values for a (v, w, girth) query.
 
     ``values`` maps method name to its integer bound; ``cap`` may be
     absent.  ``binding`` names the minimum, ties broken by METHOD_ORDER.
     """
 
-    v: int
-    w: int
-    girth_target: int
-    values: dict[str, int]
-    binding: str
+    __slots__ = ()
 
     @property
     def binding_value(self) -> int:

@@ -2,17 +2,20 @@
 
 Exit codes: 0 = all checks pass, 1 = a mathematical expectation failed,
 2 = usage or IO error.  argparse owns the shape of the command line and
-exits 2 with its usage message (``--rho`` and ``--gamma`` are parsed by
-meanineq.rational as their argparse type); the library decides which
-values are valid (``bound --v 0`` and ``search --timeout nan`` are its to
-refuse) and raises ValueError; :func:`main` turns any OSError or
-ValueError, a closed stdout included, into one ``error:`` line and exit 2,
-keeping the first and last 100 characters of a longer message.
-Output is deterministic given the flags (search certificates additionally
-given budgets), so stdout can be pinned in golden tests; JSON bound values
-are decimal strings, which sidesteps 64-bit consumers.  ``table`` streams:
-each csv row, and each v's part of the JSON array, is written as soon as
-it is computed.
+exits 2 with its usage message (``--rho`` and ``--gamma`` have the type
+:func:`rational`, a wrapper that imports meanineq.rational when a value is
+parsed); the library decides which values are valid (``bound --v 0`` and
+``search --timeout nan`` are its to refuse) and raises ValueError;
+:func:`main` turns any OSError or ValueError, a closed stdout included,
+into one ``error:`` line and exit 2, keeping the first and last 100
+characters of a longer message.  Output is deterministic given the flags
+(search certificates additionally given budgets), so stdout can be pinned
+in golden tests; JSON bound values are decimal strings, which sidesteps
+64-bit consumers.  ``table`` streams: each csv row, and each v's part of
+the JSON array, is written as soon as it is computed.
+
+Building the parser imports no package module: each ``_cmd_*`` imports the
+modules its command runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import argparse
 import json
 import os
 import sys
-
-from . import bounds, constructions, graphcore, meanineq, search
 
 
 def _add_bound_parser(sub) -> None:
@@ -40,6 +41,8 @@ def _add_bound_parser(sub) -> None:
 
 
 def _cmd_bound(args, parser) -> int:
+    from . import bounds
+
     if args.girth == 6 and args.method in ("cubic", "cap"):
         parser.error(f"method {args.method!r} applies only to girth 8")
     report = bounds.bound_report(args.v, args.w, args.girth)
@@ -98,7 +101,10 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _load_uncoloured(path: str) -> graphcore.Graph:
+def _load_uncoloured(path: str):
+    """The uncoloured graphcore.Graph in the JSON file at path."""
+    from . import graphcore
+
     obj = _read_json(path)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('uncoloured graph JSON needs fields "n" and "edges"')
@@ -115,32 +121,30 @@ def _regular(n: int, d: int) -> tuple[int, int, int]:
     return n, n, n * d
 
 
-# Each construct kind: its builder, the flags it requires, passed to the
-# builder in this order and named in the summary label, and the member's
-# (v, w, e) as a function of those flags, checked before anything is built.
-# expand has none: _load_uncoloured limits its n, and its edges come from a
-# file already in memory.
+# Each construct kind: the name of its builder in constructions, the flags
+# it requires, passed to the builder in this order and named in the summary
+# label, and the member's (v, w, e) as a function of those flags, checked
+# before anything is built.  expand has none: its one flag is the path of
+# the graph to expand, which _load_uncoloured reads and limits in n.
 _CONSTRUCT_KINDS = {
     "grid": (
-        constructions.grid_incidence,
+        "grid_incidence",
         ("t",),
         lambda t: ((t + 1) ** 2, 2 * (t + 1), 2 * (t + 1) ** 2),
     ),
-    "pg2": (constructions.pg2_incidence, ("q",), lambda q: _regular(q * q + q + 1, q + 1)),
-    "wq": (constructions.wq_incidence, ("q",), lambda q: _regular((q + 1) * (q * q + 1), q + 1)),
-    "complete": (constructions.complete_bipartite, ("a", "b"), lambda a, b: (a, b, a * b)),
-    "expand": (lambda path: constructions.expand(_load_uncoloured(path)), ("input",), None),
-    "unbalanced6": (
-        constructions.unbalanced6,
-        ("v", "w"),
-        lambda v, w: (v, w, v * (v - 1) // 2 + w),
-    ),
-    "unbalanced8": (constructions.unbalanced8, ("v", "w"), lambda v, w: (v, w, v * v // 4 + w)),
+    "pg2": ("pg2_incidence", ("q",), lambda q: _regular(q * q + q + 1, q + 1)),
+    "wq": ("wq_incidence", ("q",), lambda q: _regular((q + 1) * (q * q + 1), q + 1)),
+    "complete": ("complete_bipartite", ("a", "b"), lambda a, b: (a, b, a * b)),
+    "expand": ("expand", ("input",), None),
+    "unbalanced6": ("unbalanced6", ("v", "w"), lambda v, w: (v, w, v * (v - 1) // 2 + w)),
+    "unbalanced8": ("unbalanced8", ("v", "w"), lambda v, w: (v, w, v * v // 4 + w)),
 }
 
 
 def _cmd_construct(args, parser) -> int:
-    build, flags, size = _CONSTRUCT_KINDS[args.kind]
+    from . import constructions, graphcore
+
+    builder, flags, size = _CONSTRUCT_KINDS[args.kind]
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         parser.error(f"{args.kind} requires " + " and ".join(f"--{flag}" for flag in flags))
@@ -150,7 +154,9 @@ def _cmd_construct(args, parser) -> int:
         limit = graphcore.MAX_JSON_CLASS_SIZE
         if max(v, w, e) > limit:
             raise ValueError(f"{label} has v={v} w={w} e={e}, over the limit {limit}")
-    g = build(*values)
+    else:  # expand: its one flag is the path of the graph to expand
+        values = [_load_uncoloured(*values)]
+    g = getattr(constructions, builder)(*values)
     with open(args.out, "w") as fh:
         json.dump(graphcore.to_json(g), fh)
         fh.write("\n")
@@ -176,6 +182,8 @@ def _degree_summary(degs) -> str:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import bounds, graphcore
+
     g = graphcore.from_json(_read_json(args.path))
     rep = graphcore.girth(g)
     girth_str = "acyclic" if rep.girth is None else str(rep.girth)
@@ -215,8 +223,9 @@ def _add_search_parser(sub) -> None:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--girth", type=int, choices=(6, 8), default=8)
-    p.add_argument("--nodes", type=int, default=search.DEFAULT_MAX_NODES)
-    p.add_argument("--timeout", type=float, default=search.DEFAULT_MAX_SECONDS)
+    # Unset budgets are not passed on, so max_size's defaults apply.
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--timeout", type=float)
     p.add_argument(
         "--threads",
         type=int,
@@ -227,15 +236,17 @@ def _add_search_parser(sub) -> None:
 
 
 def _cmd_search(args, parser) -> int:
+    from . import graphcore, search
+
+    budgets = {"max_nodes": args.nodes, "max_seconds": args.timeout}
     cert = search.max_size(
         args.v,
         args.w,
         args.girth,
-        max_nodes=args.nodes,
-        max_seconds=args.timeout,
         threads=args.threads,
+        **{name: value for name, value in budgets.items() if value is not None},
     )
-    payload = {**vars(cert), "witness": graphcore.to_json(cert.witness)}
+    payload = {**cert._asdict(), "witness": graphcore.to_json(cert.witness)}
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -262,6 +273,11 @@ def _parse_range(text: str, parser) -> range:
 
 
 def _cmd_table(args, parser) -> int:
+    from . import bounds
+
+    if args.with_search:
+        from . import search
+
     v_range = _parse_range(args.v_range, parser)
     w_range = _parse_range(args.w_range, parser)
     columns = ("v", "w", "girth", "reiman", "cubic", "cap", "coarse", "search", "gap")
@@ -292,19 +308,29 @@ def _cmd_table(args, parser) -> int:
     return 0
 
 
+def rational(text: str):
+    """meanineq.rational, imported on first use.  argparse names the type
+    function in its usage error ("invalid rational value"), hence the name."""
+    from . import meanineq
+
+    return meanineq.rational(text)
+
+
 def _add_awm_parser(sub) -> None:
     p = sub.add_parser("awm", help="check the mean inequality on a matrix file")
     p.add_argument("path", help='matrix JSON: {"rows": [[entries]]}')
     p.add_argument(
-        "--rho", type=meanineq.rational, required=True, help="nonnegative rational p or p/q"
+        "--rho", type=rational, required=True, help="nonnegative rational p or p/q"
     )
     p.add_argument(
-        "--gamma", type=meanineq.rational, required=True, help="nonnegative rational p or p/q"
+        "--gamma", type=rational, required=True, help="nonnegative rational p or p/q"
     )
     p.set_defaults(func=_cmd_awm)
 
 
 def _cmd_awm(args, parser) -> int:
+    from . import meanineq
+
     obj = _read_json(args.path)
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError('matrix JSON needs a "rows" field')

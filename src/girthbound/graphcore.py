@@ -11,7 +11,7 @@ function of its inputs, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 
@@ -147,8 +147,7 @@ class BipartiteGraph:
         return f"BipartiteGraph(v={self.v}, w={self.w}, e={self.e})"
 
 
-@dataclass(frozen=True)
-class GirthReport:
+class GirthReport(namedtuple("GirthReport", "girth has_c4 has_c6")):
     """Exact girth plus presence flags for the two short even cycles.
 
     ``girth`` is None for a forest.  Bipartiteness makes every cycle even,
@@ -156,9 +155,7 @@ class GirthReport:
     which can coexist with girth 4.
     """
 
-    girth: int | None
-    has_c4: bool
-    has_c6: bool
+    __slots__ = ()
 
 
 def from_edges(v: int, w: int, pairs) -> BipartiteGraph:

@@ -47,10 +47,9 @@ absolute deadline, checked every 1024 nodes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bounds, graphcore
-from .graphcore import BipartiteGraph
 
 
 __all__ = [
@@ -68,25 +67,22 @@ DEFAULT_MAX_SECONDS = 60.0
 _TIME_CHECK_MASK = 0x3FF  # poll the clock every 1024 nodes
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(
+    namedtuple(
+        "SearchCertificate",
+        "v w min_girth e_max witness exhaustive nodes_explored elapsed",
+    )
+):
     """Outcome of one search.
 
-    ``witness`` achieves ``e_max`` at girth >= ``min_girth`` (re-verified
-    through graphcore.girth, independently of the incremental check used
-    while searching).  ``exhaustive`` is True when ``e_max`` is proven
-    maximum within budget: the tree completed, or the search stopped
-    because the witness meets a proven size bound.
+    ``witness``, a BipartiteGraph, achieves ``e_max`` at girth >=
+    ``min_girth`` (re-verified through graphcore.girth, independently of
+    the incremental check used while searching).  ``exhaustive`` is True
+    when ``e_max`` is proven maximum within budget: the tree completed, or
+    the search stopped because the witness meets a proven size bound.
     """
 
-    v: int
-    w: int
-    min_girth: int
-    e_max: int
-    witness: BipartiteGraph
-    exhaustive: bool
-    nodes_explored: int
-    elapsed: float
+    __slots__ = ()
 
     @property
     def optimality(self) -> str:

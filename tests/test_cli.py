@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from girthbound.cli import main
-from girthbound import bounds, cli, graphcore
+from girthbound import bounds, cli, constructions, graphcore, search
 from helpers import forbid_processes
 
 
@@ -216,8 +216,8 @@ class TestConstructVerifyRoundTrip:
         def refuse(*args):
             raise AssertionError("construct built an oversize graph")
 
-        for kind, (build, flags, size) in list(cli._CONSTRUCT_KINDS.items()):
-            monkeypatch.setitem(cli._CONSTRUCT_KINDS, kind, (refuse, flags, size))
+        for builder, _, _ in cli._CONSTRUCT_KINDS.values():
+            monkeypatch.setattr(constructions, builder, refuse)
         out = tmp_path / "x.json"
         code, _, err = run(capsys, "construct", *argv, "--out", str(out))
         assert code == 2 and err.startswith("error:") and "over the limit" in err
@@ -235,8 +235,8 @@ class TestConstructVerifyRoundTrip:
         ],
     )
     def test_size_matches_the_built_member(self, kind, values):
-        build, _, size = cli._CONSTRUCT_KINDS[kind]
-        g = build(*values)
+        builder, _, size = cli._CONSTRUCT_KINDS[kind]
+        g = getattr(constructions, builder)(*values)
         assert size(*values) == (g.v, g.w, g.e)
 
     def test_nonprime_rejected(self, capsys, tmp_path):
@@ -314,6 +314,35 @@ class TestSearch:
         assert payload["nodes_explored"] > 0
         witness = graphcore.from_json(payload["witness"])
         assert witness.e == expected
+
+    def test_payload_keys(self, capsys):
+        code, out, _ = run(capsys, "search", "--v", "4", "--w", "4", "--girth", "8")
+        assert code == 0
+        assert set(json.loads(out)) == {
+            "v", "w", "min_girth", "e_max", "witness", "exhaustive", "nodes_explored", "elapsed",
+        }
+
+    @pytest.mark.parametrize(
+        "flags,budgets",
+        [
+            ([], {}),
+            (["--nodes", "50"], {"max_nodes": 50}),
+            (["--timeout", "2.5"], {"max_seconds": 2.5}),
+            (["--nodes", "50", "--timeout", "2.5"], {"max_nodes": 50, "max_seconds": 2.5}),
+        ],
+    )
+    def test_only_given_budgets_are_passed_on(self, capsys, monkeypatch, flags, budgets):
+        calls = []
+        real = search.max_size
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "max_size", spy)
+        code, _, _ = run(capsys, "search", "--v", "3", "--w", "3", *flags)
+        assert code == 0
+        assert calls == [{"threads": 1, **budgets}]
 
     def test_budget_flags(self, capsys):
         code, out, _ = run(
