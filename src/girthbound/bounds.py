@@ -69,21 +69,34 @@ def reiman_max_e(v: int, w: int) -> int:
 
 
 def cubic_max_e(v: int, w: int) -> int:
-    """Largest integer e >= 0 with P(v, w, e) <= 0, by integer bisection.
+    """Largest integer e >= 0 with P(v, w, e) <= 0, by integer Newton
+    steps from above.  Symmetric in (v, w).
 
-    Valid bracket: P(v, w, 0) = -(vw)^2 <= 0 and P(v, w, vw + 1) > 0
-    (P(v, w, vw) = (vw)^2 (v-1)(w-1) >= 0 and the polynomial has a single
-    positive real root, so it is positive past vw).  Symmetric in (v, w).
+    With s = v + w and p = vw, P(e) = e(e - v)(e - w) + p(e - p).  Any
+    x > p^(2/3) + s makes the first term exceed p^2, so P(x) > 0; the start
+    2^ceil(2 bitlen(p) / 3) + s is such an x.  P(max(v, w)) = p(max - p)
+    <= 0, and on [max(v, w), oo) P is convex and increasing, with
+    P'(x) = x^2 + 2(x - v)(x - w) >= x^2, so the single root r lies there
+    and a tangent step from any x >= r lands at or above r.  The floor step
+    x -= P(x) // P'(x) is no longer than the tangent step, so it never
+    passes r.  When it is 0, P(x) < P'(x), and the exact expansion
+    P(x - 2) = P(x) - 2P'(x) + 12x - 4s - 8 < 12x - x^2 - 4s - 8 is
+    negative once x >= 12: the final loop then takes at most two unit
+    steps down to floor(r).  Only integers are involved.
     """
     _require_positive(v, w)
-    lo, hi = 0, v * w + 1  # P(lo) <= 0 < P(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eval_cubic(v, w, mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    s, p = v + w, v * w
+    x = (1 << -(-2 * p.bit_length() // 3)) + s
+    while True:
+        value = x * (x * (x - s) + 2 * p) - p * p  # P(v, w, x)
+        step = value // (x * (3 * x - 2 * s) + 2 * p)
+        if step == 0:
+            break
+        x -= step
+    while value > 0:
+        x -= 1
+        value = eval_cubic(v, w, x)
+    return x
 
 
 def size_cap(v: int, w: int, girth: int) -> int:
@@ -102,6 +115,7 @@ def unbalanced_cap(v: int, w: int) -> int | None:
     Applies to graphs without 4- and 6-cycles; absent (None) outside the
     unbalanced regime.
     """
+    _require_positive(v, w)
     a, b = max(v, w), min(v, w)
     quarter = b * b // 4
     if a >= quarter:
@@ -128,17 +142,25 @@ def girth6_coarse_bound(v: int, w: int) -> int:
 
 
 def _icbrt(n: int) -> int:
-    """Largest integer m with m^3 <= n (n >= 0), by integer bisection."""
+    """Largest integer m with m^3 <= n (n >= 0), by integer Newton steps
+    from above.
+
+    The start x = 2^ceil(bitlen(n) / 3) has x^3 > n.  By the AM-GM
+    inequality (2x + n/x^2) / 3 >= n^(1/3), so the floor step
+    x <- (2x + n // x^2) // 3 never drops below m; while x > m it
+    strictly falls, because x^3 > n.  The first step that does not fall
+    therefore starts from m.
+    """
     if n < 0:
         raise ValueError("negative argument")
-    lo, hi = 0, 1 << (n.bit_length() // 3 + 1)  # lo^3 <= n < hi^3
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** 3 <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def girth8_coarse_bound(v: int, w: int) -> int:
@@ -239,8 +261,6 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
         if cap is not None:
             values["cap"] = cap
         values["coarse"] = girth8_coarse_bound(v, w)
-    binding = min(
-        (name for name in METHOD_ORDER if name in values),
-        key=lambda name: (values[name], METHOD_ORDER.index(name)),
-    )
-    return BoundReport(v=v, w=w, girth_target=girth_target, values=values, binding=binding)
+    # ``values`` is filled in METHOD_ORDER, so the first minimum is the
+    # binding bound under that tie-break.
+    return BoundReport(v, w, girth_target, values, min(values, key=values.__getitem__))

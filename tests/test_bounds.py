@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,10 @@ from girthbound.bounds import (
     size_cap,
     unbalanced_cap,
 )
+
+# SHA-256 of the JSON list of bound_report tuples over a grid, as the
+# bisection-based inversion computed them.
+BOUNDS = Path(__file__).parent / "data" / "bounds.json"
 
 
 class TestEvalReiman:
@@ -105,7 +112,7 @@ class TestCubicMaxE:
         assert cubic_max_e(5, 5) == 10
         assert eval_cubic(5, 5, 10) == -125 and eval_cubic(5, 5, 11) == 46
 
-    def test_bisection_equals_linear_scan(self):
+    def test_newton_equals_linear_scan(self):
         for v in range(1, 31):
             for w in range(1, 31):
                 scan = max(e for e in range(v * w + 1) if eval_cubic(v, w, e) <= 0)
@@ -115,6 +122,15 @@ class TestCubicMaxE:
         for v in range(1, 51):
             for w in range(1, 51):
                 assert cubic_max_e(v, w) == cubic_max_e(w, v)
+
+    def test_exact_sign_change_on_big_integers(self):
+        for k in (*range(1, 40), 50, 100, 200, 300, 500, 700, 999, 1000):
+            big = 10 ** k
+            cases = [(big - 1, big - 1), (big - 1, big + 1), (big + 1, big + 1)]
+            cases += [(1, big), (big, 1), (big, 7 * big)]
+            for v, w in cases:
+                e = cubic_max_e(v, w)
+                assert eval_cubic(v, w, e) <= 0 < eval_cubic(v, w, e + 1), (k, v - big, w - big)
 
     def test_sign_changes_at_most_once(self):
         rng = random.Random(5)
@@ -126,6 +142,25 @@ class TestCubicMaxE:
             assert all(signs[first_pos:])
 
 
+class TestIcbrt:
+    def test_small_values(self):
+        m = 0
+        for n in range(20001):
+            if (m + 1) ** 3 <= n:
+                m += 1
+            assert bounds._icbrt(n) == m, n
+
+    def test_around_big_cubes(self):
+        for m in (2 ** 20, 10 ** 40 + 3, 3 ** 300, 7 ** 1000):
+            n = m ** 3
+            assert bounds._icbrt(n - 1) == m - 1
+            assert bounds._icbrt(n) == bounds._icbrt(n + 1) == m
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            bounds._icbrt(-1)
+
+
 class TestUnbalancedCap:
     def test_examples(self):
         assert unbalanced_cap(10, 4) == 14
@@ -135,6 +170,11 @@ class TestUnbalancedCap:
     def test_threshold(self):
         assert unbalanced_cap(4, 4) == 8   # 4 >= floor(16/4)
         assert unbalanced_cap(5, 5) is None  # 5 < floor(25/4)
+
+    def test_rejects_class_sizes_below_one(self):
+        for v, w in ((0, 5), (5, 0), (-3, 2), (0, 0)):
+            with pytest.raises(ValueError, match="class sizes must be >= 1"):
+                unbalanced_cap(v, w)
 
 
 class TestCoarseBounds:
@@ -270,6 +310,11 @@ class TestBoundReport:
     def test_rejects_bad_girth(self):
         with pytest.raises(ValueError):
             bound_report(3, 3, 7)
+
+    def test_grid_matches_the_pinned_hash(self):
+        rows = [list(bound_report(v, w, g)) for g in (6, 8) for v in range(1, 101) for w in range(1, 101)]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == json.loads(BOUNDS.read_text())["bound_report(1..100, 1..100, 6 and 8)"]
 
 
 class TestSizeCap:

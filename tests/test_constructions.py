@@ -25,7 +25,7 @@ CONSTRUCTIONS = Path(__file__).parent / "data" / "constructions.json"
 def pinned_members():
     """(name, graph) for every family member whose edge list is pinned."""
     calls = [(cn.pg2_incidence, q) for q in (2, 3, 5, 7, 11, 13)]
-    calls += [(cn.wq_incidence, q) for q in (2, 3, 5, 7)]
+    calls += [(cn.wq_incidence, q) for q in (2, 3, 5, 7, 11, 13)]
     calls += [(cn.grid_incidence, t) for t in range(7)]
     for v in range(1, 7):
         lo = v * (v - 1) // 2
@@ -184,7 +184,7 @@ class TestProjectivePlane:
 
 
 class TestSymplecticQuadrangle:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
     def test_full_invariants(self, q):
         g = cn.wq_incidence(q)
         n = (q + 1) * (q * q + 1)

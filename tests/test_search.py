@@ -163,6 +163,27 @@ class TestWitnesses:
                 assert wt.w <= comb(wt.v, 2) and wt.v <= comb(wt.w, 2)
 
 
+class TestEqualityCase:
+    """The paper's equality theorems as an oracle for search witnesses: a
+    witness that meets a bound with equality must have its extremal
+    structure, whatever branch of the search produced it."""
+
+    @pytest.mark.parametrize("v,w", [(4, 4), (6, 9), (9, 6)])
+    def test_girth8_witness_meeting_the_cubic_is_a_weak_gq(self, v, w):
+        cert = max_size(v, w, 8)
+        assert bounds.eval_cubic(v, w, cert.e_max) == 0
+        assert graphcore.verify_weak_gq(cert.witness)
+
+    @pytest.mark.parametrize("v,w", [(3, 3), (4, 6), (6, 4), (7, 7)])
+    def test_girth6_witness_meeting_reiman_contracts_to_a_complete_graph(self, v, w):
+        cert = max_size(v, w, 6)
+        g = cert.witness
+        if w < v:  # contract onto the smaller class
+            g = from_edges(w, v, [(j, i) for i, j in g.edges])
+        assert bounds.eval_reiman(g.v, g.w, cert.e_max) == 0
+        assert contract(g).e == comb(g.v, 2)
+
+
 class TestSymmetryAndMonotonicity:
     def test_role_symmetry(self):
         for v, w in ((3, 5), (4, 6), (2, 5)):
