@@ -48,11 +48,7 @@ def expand(g: Graph) -> BipartiteGraph:
     Every W-vertex gets degree exactly 2 (its two endpoints), so the size
     doubles and so does the girth (the expansion is the edge subdivision).
     """
-    pairs = []
-    for k, (a, b) in enumerate(g.edges):
-        pairs.append((a, k))
-        pairs.append((b, k))
-    return from_edges(g.n, g.e, pairs)
+    return _expand_with_pendants(g.n, g.edges, g.e)
 
 
 def grid_incidence(t: int) -> BipartiteGraph:
@@ -142,11 +138,12 @@ def wq_incidence(q: int) -> BipartiteGraph:
     return from_edges(len(pts), len(lines), pairs)
 
 
-def _expand_with_pendants(base: Graph, w: int) -> BipartiteGraph:
-    """Expansion of ``base`` padded to w W-vertices, the added ones all
-    pendants on V-vertex 0."""
-    pairs = list(expand(base).edges) + [(0, k) for k in range(base.e, w)]
-    return from_edges(base.n, w, pairs)
+def _expand_with_pendants(n: int, edges, w: int) -> BipartiteGraph:
+    """Expansion of the sorted edge list ``edges`` on n vertices (W-vertex k
+    is edge k), padded up to w W-vertices with pendants on V-vertex 0."""
+    pairs = [(x, k) for k, edge in enumerate(edges) for x in edge]
+    pairs += [(0, k) for k in range(len(edges), w)]
+    return from_edges(n, w, pairs)
 
 
 def unbalanced6(v: int, w: int) -> BipartiteGraph:
@@ -161,7 +158,7 @@ def unbalanced6(v: int, w: int) -> BipartiteGraph:
     core = v * (v - 1) // 2
     if w < core:
         raise ValueError(f"w must be >= v(v-1)/2 = {core}, got {w}")
-    return _expand_with_pendants(Graph(v, combinations(range(v), 2)), w)
+    return _expand_with_pendants(v, list(combinations(range(v), 2)), w)
 
 
 def unbalanced8(v: int, w: int) -> BipartiteGraph:
@@ -180,4 +177,4 @@ def unbalanced8(v: int, w: int) -> BipartiteGraph:
     if w < core:
         raise ValueError(f"w must be >= floor(v^2/4) = {core}, got {w}")
     upper = (v + 1) // 2
-    return _expand_with_pendants(Graph(v, product(range(upper), range(upper, v))), w)
+    return _expand_with_pendants(v, list(product(range(upper), range(upper, v))), w)

@@ -39,15 +39,15 @@ MAX_JSON_CLASS_SIZE = 10 ** 6
 
 
 class Graph:
-    """Uncoloured simple graph on vertices 0..n-1 (edge pairs stored sorted)."""
+    """Uncoloured simple graph on vertices 0..n-1, kept as its sorted edge
+    pairs (a, b) with a < b."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, pairs) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         seen = set()
-        norm = []
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
@@ -57,14 +57,8 @@ class Graph:
             if pair in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add(pair)
-            norm.append(pair)
         self.n = n
-        self.edges = tuple(sorted(norm))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.edges:  # sorted edges give ascending lists
-            adj[a].append(b)
-            adj[b].append(a)
-        self.adj = tuple(tuple(nb) for nb in adj)
+        self.edges = tuple(sorted(seen))
 
     @property
     def e(self) -> int:
@@ -98,17 +92,15 @@ class BipartiteGraph:
         if v < 0 or w < 0:
             raise ValueError(f"class sizes must be nonnegative, got v={v} w={w}")
         seen = set()
-        norm = []
         for i, j in pairs:
             if not (0 <= i < v and 0 <= j < w):
                 raise ValueError(f"edge ({i}, {j}) out of range for v={v}, w={w}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
-            norm.append((i, j))
         self.v = v
         self.w = w
-        self.edges = tuple(sorted(norm))
+        self.edges = tuple(sorted(seen))
         av: list[list[int]] = [[] for _ in range(v)]
         aw: list[list[int]] = [[] for _ in range(w)]
         for i, j in self.edges:  # sorted edges give ascending lists
@@ -347,11 +339,7 @@ def contract(g: BipartiteGraph) -> Graph:
     Without 4-cycles the common neighbour is unique, so the contracted size
     is exactly the sum of C(d(y), 2) over W-vertices y.
     """
-    pairs = set()
-    for nbrs in g.adj_w:
-        for x, z in combinations(nbrs, 2):
-            pairs.add((x, z))
-    return Graph(g.v, sorted(pairs))
+    return Graph(g.v, {pair for nbrs in g.adj_w for pair in combinations(nbrs, 2)})
 
 
 def verify_weak_gq(g: BipartiteGraph) -> bool:

@@ -24,8 +24,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .graphcore import BipartiteGraph
-
 
 __all__ = [
     "IneqVerdict",
@@ -129,8 +127,8 @@ class NonnegMatrix:
         self.total = Fraction(sum(col_nums), den)
 
     @classmethod
-    def from_graph(cls, g: BipartiteGraph) -> "NonnegMatrix":
-        """0/1 incidence matrix of a bipartite graph (rows = class V).
+    def from_graph(cls, g) -> "NonnegMatrix":
+        """0/1 incidence matrix of a graphcore.BipartiteGraph (rows = class V).
 
         Built directly: the entries of a validated graph cannot fail the
         parse and sign checks of ``NonnegMatrix(rows)``, and the

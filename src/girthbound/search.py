@@ -41,11 +41,14 @@ bound of (b).
 
 The node budget applies to the whole search, the empty root included, and
 a graph is credited only once its node is counted.  The time budget is an
-absolute deadline, checked every 1024 nodes.
+absolute deadline, checked every 1024 nodes.  The tree is walked by a
+recursive function, one call per edge, so a search whose graphs outgrow
+Python's recursion limit raises ValueError.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import namedtuple
 
@@ -229,7 +232,13 @@ def _explore(
                 amask_w[j] = nbrs
         return False
 
-    rec(0, 1)
+    try:
+        rec(0, 1)
+    except RecursionError:
+        raise ValueError(
+            f"search on v={v} w={w} recurses once per edge, past Python's"
+            f" recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     return best_e, best_masks, nodes, completed
 
 

@@ -198,8 +198,18 @@ def random_tree(rng: random.Random, max_vertices: int = 10) -> BipartiteGraph:
     return from_edges(counts[0], counts[1], edges)
 
 
+def uncoloured_adjacency(g: Graph) -> list[list[int]]:
+    """Neighbour lists of an uncoloured graph, built from its edges."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def uncoloured_girth_oracle(g: Graph) -> int | None:
     """Edge-removal girth for uncoloured graphs."""
+    adj = uncoloured_adjacency(g)
     best = None
     for drop in g.edges:
         a, b = drop
@@ -211,7 +221,7 @@ def uncoloured_girth_oracle(g: Graph) -> int | None:
             d = dist[x]
             if best is not None and d + 1 >= best:
                 continue
-            for y in g.adj[x]:
+            for y in adj[x]:
                 if {x, y} == {a, b} or y in dist:
                     continue
                 dist[y] = d + 1

@@ -379,7 +379,7 @@ class TestSearch:
         del payload["elapsed"]
         return payload
 
-    def test_threads_beyond_the_cpu_count(self, capsys):
+    def test_threads_100000_gives_the_same_certificate(self, capsys):
         one = self.payload_without_elapsed(capsys, "1")
         assert self.payload_without_elapsed(capsys, "100000") == one
 

@@ -302,11 +302,16 @@ def test_a_numerator_past_the_digit_limit_is_an_input_error(capsys, tmp_path, wh
         assert "argument --rho: invalid rational value" in err
 
 
-@pytest.mark.xfail(
-    raises=RecursionError,
-    strict=True,
-    reason="the search kernel recurses once per edge "
-    "(ROADMAP: an iterative search kernel)",
+@pytest.mark.parametrize(
+    "argv",
+    [["--v", "1000", "--w", "3"], ["--v", "3", "--w", "1000", "--girth", "6"]],
+    ids=["tall", "wide"],
 )
-def test_search_deeper_than_the_recursion_limit(capsys):
-    invoke(capsys, ["search", "--v", "1000", "--w", "3"])
+def test_search_deeper_than_the_recursion_limit(capsys, argv):
+    # The search recurses once per edge; past the recursion limit it is an
+    # input error that names the classes and the limit.
+    code, out, err, usage = invoke(capsys, ["search", *argv])
+    assert (code, out, usage) == (2, "", False)
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith(f"error: search on v={argv[1]} w={argv[3]} recurses once per edge")
+    assert f"recursion limit of {sys.getrecursionlimit()}" in err

@@ -18,7 +18,9 @@ from girthbound.graphcore import Graph, contract, girth, to_json, verify_weak_gq
 from helpers import random_uncoloured, uncoloured_girth_oracle
 
 # SHA-256 of the Graph JSON of every family member below, as the point-line
-# classes built them before PG(2, q) and W(q) were enumerated directly.
+# classes built them before PG(2, q) and W(q) were enumerated directly, and
+# of the uncoloured JSON {"n", "edges"} of the contractions of PG(2, q) and
+# W(q), as contract built them while Graph still kept neighbour lists.
 CONSTRUCTIONS = Path(__file__).parent / "data" / "constructions.json"
 
 
@@ -36,11 +38,17 @@ def pinned_members():
     calls += [(cn.complete_bipartite, a, b) for a, b in ((1, 3), (2, 2), (3, 4))]
     members = [(f"{f.__name__}({', '.join(map(str, args))})", f(*args)) for f, *args in calls]
     members.append(("expand(K_4)", cn.expand(Graph(4, combinations(range(4), 2)))))
+    for f, qs in ((cn.pg2_incidence, (2, 3, 5, 7, 11, 13)), (cn.wq_incidence, (2, 3, 5, 7))):
+        members += [(f"contract({f.__name__}({q}))", contract(f(q))) for q in qs]
     return members
 
 
 def edge_list_hash(g) -> str:
-    return hashlib.sha256(json.dumps(to_json(g), sort_keys=True).encode()).hexdigest()
+    if isinstance(g, Graph):
+        obj = {"n": g.n, "edges": [[a, b] for a, b in g.edges]}
+    else:
+        obj = to_json(g)
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def test_edge_lists_match_the_pinned_hashes():
@@ -125,6 +133,26 @@ class TestExpand:
                 assert expanded_girth is None
             else:
                 assert expanded_girth == 2 * base_girth
+
+
+@pytest.mark.parametrize("family,v,w", [(cn.unbalanced6, 5, 12), (cn.unbalanced8, 6, 11)])
+def test_unbalanced_member_is_built_once(monkeypatch, family, v, w):
+    # The core's pairs go straight into the one expansion: no Graph is
+    # validated on the way, and from_edges builds the member alone.
+    from_edges = cn.from_edges
+    built = []
+
+    def counting_from_edges(*args):
+        built.append(from_edges(*args))
+        return built[-1]
+
+    def no_graph(*args):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(cn, "from_edges", counting_from_edges)
+    monkeypatch.setattr(cn, "Graph", no_graph)
+    g = family(v, w)
+    assert built == [g] and built[0] is g
 
 
 class TestGrid:

@@ -30,6 +30,7 @@ from helpers import (
     random_min_degree2,
     random_tree,
     random_uncoloured,
+    uncoloured_adjacency,
     weak_gq_oracle,
 )
 
@@ -108,13 +109,36 @@ class TestFromEdges:
         for _ in range(200):
             g = random_bipartite(rng)
             assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adj_v + g.adj_w)
+
+
+class TestUncolouredGraph:
+    def test_pairs_in_any_order_and_orientation_give_the_sorted_edges(self):
+        rng = random.Random(13)
+        for _ in range(200):
             u = random_uncoloured(rng, max_n=12)
             pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in reversed(u.edges)]
             flipped = Graph(u.n, pairs)
             assert flipped == u
-            assert all(list(nbrs) == sorted(nbrs) for nbrs in flipped.adj)
-            rebuilt = {(a, b) for a in range(u.n) for b in flipped.adj[a] if a < b}
-            assert rebuilt == set(u.edges)
+            assert flipped.edges == tuple(sorted(u.edges))
+            assert all(a < b for a, b in flipped.edges)
+
+    def test_holds_only_its_vertex_count_and_edges(self):
+        g = Graph(3, iter([(2, 0), (1, 0)]))
+        assert (g.n, g.edges, g.e) == (3, ((0, 1), (0, 2)), 2)
+        assert not hasattr(g, "adj")
+
+    @pytest.mark.parametrize(
+        "n,pairs,message",
+        [
+            (-1, [], r"vertex count must be nonnegative, got -1"),
+            (2, [(0, 2)], r"edge \(0, 2\) out of range for n=2"),
+            (2, [(1, 1)], r"loop edge \(1, 1\) not allowed"),
+            (2, [(0, 1), (1, 0)], r"duplicate edge \(1, 0\)"),
+        ],
+    )
+    def test_invalid_pairs_rejected(self, n, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, pairs)
 
 
 class TestGirth:
@@ -317,7 +341,7 @@ class TestContract:
 
 
 def uncoloured_cycle(g: Graph) -> bool:
-    return all(len(nb) == 2 for nb in g.adj)
+    return all(len(nb) == 2 for nb in uncoloured_adjacency(g))
 
 
 class TestWeakGQ:

@@ -88,7 +88,7 @@ def files(tmp_path):
         (["construct", "expand", "--input", "k3.json", "--out", "x.json"],
          ["constructions", "graphcore"]),
         (["verify", "c6.json"], ["bounds", "graphcore"]),
-        (["awm", "m.json", "--rho", "4", "--gamma", "5"], ["graphcore", "meanineq"]),
+        (["awm", "m.json", "--rho", "4", "--gamma", "5"], ["meanineq"]),
     ],
     ids=[
         "import-only", "bound", "bound-usage-error", "table", "table-with-search", "search",

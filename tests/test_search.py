@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from functools import cmp_to_key
 from math import comb
@@ -364,7 +365,7 @@ class TestDeterminismAndBudgets:
         rep = girth(cert.witness)
         assert rep.girth is None or rep.girth >= 6
 
-    def test_worker_count_does_not_change_certificate(self):
+    def test_threads_1_and_2_give_the_same_certificate(self):
         full = search.DEFAULT_MAX_NODES
         for v, w, g, max_nodes in ((6, 4, 8, full), (8, 5, 8, full), (8, 3, 8, 50), (6, 7, 8, 50)):
             one = max_size(v, w, g, max_nodes=max_nodes, threads=1)
@@ -418,7 +419,7 @@ class TestDeterminismAndBudgets:
         assert cert.e_max < cert.nodes_explored
         assert cert.witness.e == cert.e_max
 
-    def test_subtree_returns_one_mask_per_column_in_use(self):
+    def test_explore_returns_masks_only_up_to_the_last_column_in_use(self):
         # A million columns, of which the best graph after 500 nodes uses
         # 498: the result holds no mask for the unused rest.
         cap = bounds.bound_report(3, 10 ** 6, 8).binding_value
@@ -427,6 +428,21 @@ class TestDeterminismAndBudgets:
         assert 0 < len(masks) <= best_e
         assert sum(mask.bit_count() for mask in masks) == best_e
         assert masks[-1]  # the last column in use is not empty
+
+    def test_search_past_the_recursion_limit_is_a_value_error(self):
+        limit = sys.getrecursionlimit()
+        for call in (max_size, certify_bound):
+            with pytest.raises(ValueError) as exc:
+                call(1000, 3, 8)
+            assert str(exc.value) == (
+                "search on v=1000 w=3 recurses once per edge, past Python's"
+                f" recursion limit of {limit}"
+            )
+
+    def test_search_below_the_recursion_limit_is_unchanged(self):
+        # One call per edge: 602 edges stay under the default limit of 1000.
+        cert = max_size(600, 3, 8)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (602, True, 603)
 
     def test_certify_raises_on_budget(self):
         with pytest.raises(BudgetExhausted):
