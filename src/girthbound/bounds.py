@@ -12,7 +12,6 @@ the girth-8 cubic is P(v, w, e) = e^3 - (v+w)*e^2 + 2*v*w*e - v^2*w^2.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import isqrt
 
 
@@ -64,6 +63,10 @@ def reiman_max_e(v: int, w: int) -> int:
     which equals (b + isqrt(D)) // 2 exactly for integers b, D >= 0.
     """
     _require_positive(v, w)
+    return _reiman_max_e(v, w)
+
+
+def _reiman_max_e(v: int, w: int) -> int:
     a, b = (v, w) if v <= w else (w, v)
     return (b + isqrt(b * b + 4 * a * b * (a - 1))) // 2
 
@@ -85,6 +88,10 @@ def cubic_max_e(v: int, w: int) -> int:
     steps down to floor(r).  Only integers are involved.
     """
     _require_positive(v, w)
+    return _cubic_max_e(v, w)
+
+
+def _cubic_max_e(v: int, w: int) -> int:
     s, p = v + w, v * w
     x = (1 << -(-2 * p.bit_length() // 3)) + s
     while True:
@@ -116,6 +123,10 @@ def unbalanced_cap(v: int, w: int) -> int | None:
     unbalanced regime.
     """
     _require_positive(v, w)
+    return _unbalanced_cap(v, w)
+
+
+def _unbalanced_cap(v: int, w: int) -> int | None:
     a, b = max(v, w), min(v, w)
     quarter = b * b // 4
     if a >= quarter:
@@ -138,6 +149,10 @@ def girth6_coarse_bound(v: int, w: int) -> int:
     evaluated and the smaller value returned.
     """
     _require_positive(v, w)
+    return _girth6_coarse_bound(v, w)
+
+
+def _girth6_coarse_bound(v: int, w: int) -> int:
     return min(_girth6_coarse_oriented(v, w), _girth6_coarse_oriented(w, v))
 
 
@@ -173,6 +188,10 @@ def girth8_coarse_bound(v: int, w: int) -> int:
     so they take the second alternative as required.
     """
     _require_positive(v, w)
+    return _girth8_coarse_bound(v, w)
+
+
+def _girth8_coarse_bound(v: int, w: int) -> int:
     a, b = max(v, w), min(v, w)
     quarter = b * b // 4
     if a <= quarter:
@@ -194,6 +213,9 @@ def balanced_approx(v: int) -> float:
 
 def balanced_approx_at_cube(k: int) -> Fraction:
     """Exact rational value of the balanced approximation at v = k^3."""
+    # Imported here: no other bound needs fractions, which loads decimal.
+    from fractions import Fraction
+
     if k < 1:
         raise ValueError(f"cube root must be >= 1, got k={k}")
     return (
@@ -248,19 +270,21 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     Girth 6: reiman and the coarse 4-cycle-free bound.  Girth 8 adds the
     cubic, the unbalanced cap when defined, and uses the 4/6-cycle-free
     coarse bound; reiman stays applicable since girth 8 implies girth 6.
+    (v, w) is checked once, here; each value comes from the unchecked core
+    of its public function.
     """
     _require_positive(v, w)
     if girth_target not in (6, 8):
         raise ValueError(f"girth target must be 6 or 8, got {girth_target}")
-    values: dict[str, int] = {"reiman": reiman_max_e(v, w)}
+    values: dict[str, int] = {"reiman": _reiman_max_e(v, w)}
     if girth_target == 6:
-        values["coarse"] = girth6_coarse_bound(v, w)
+        values["coarse"] = _girth6_coarse_bound(v, w)
     else:
-        values["cubic"] = cubic_max_e(v, w)
-        cap = unbalanced_cap(v, w)
+        values["cubic"] = _cubic_max_e(v, w)
+        cap = _unbalanced_cap(v, w)
         if cap is not None:
             values["cap"] = cap
-        values["coarse"] = girth8_coarse_bound(v, w)
+        values["coarse"] = _girth8_coarse_bound(v, w)
     # ``values`` is filled in METHOD_ORDER, so the first minimum is the
     # binding bound under that tie-break.
     return BoundReport(v, w, girth_target, values, min(values, key=values.__getitem__))

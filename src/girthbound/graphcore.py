@@ -12,7 +12,8 @@ function of its inputs, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from functools import reduce
+from operator import or_
 
 
 __all__ = [
@@ -114,10 +115,10 @@ class BipartiteGraph:
         return len(self.edges)
 
     def degrees_v(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.adj_v)
+        return tuple(map(len, self.adj_v))
 
     def degrees_w(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.adj_w)
+        return tuple(map(len, self.adj_w))
 
     def min_degree(self) -> int:
         """Smallest degree over both classes (0 for an empty class side)."""
@@ -277,8 +278,7 @@ def count_paths3(g: BipartiteGraph) -> int:
     Each path x-y-z-t is counted once at its middle edge {y, z} as
     (d(y)-1)(d(z)-1); bipartite colouring rules out endpoint collisions.
     """
-    dv = [len(nb) for nb in g.adj_v]
-    dw = [len(nb) for nb in g.adj_w]
+    dv, dw = g.degrees_v(), g.degrees_w()
     return sum((dv[i] - 1) * (dw[j] - 1) for i, j in g.edges)
 
 
@@ -338,8 +338,21 @@ def contract(g: BipartiteGraph) -> Graph:
 
     Without 4-cycles the common neighbour is unique, so the contracted size
     is exactly the sum of C(d(y), 2) over W-vertices y.
+
+    Built row by row: the neighbours of V-vertex x above x are the entries
+    above x in the union of the V-lists of x's W-neighbours.  Taking x in
+    ascending order and each union sorted gives the sorted, duplicate-free
+    edge tuple directly, and pairs drawn from a validated graph cannot fail
+    the checks of ``Graph(n, pairs)``, so the result is filled directly.
     """
-    return Graph(g.v, {pair for nbrs in g.adj_w for pair in combinations(nbrs, 2)})
+    adj_w = g.adj_w
+    cg = Graph.__new__(Graph)
+    cg.n, cg.edges = g.v, tuple(
+        (x, z)
+        for x, nbrs in enumerate(g.adj_v)
+        for z in sorted({z for y in nbrs for z in adj_w[y] if z > x})
+    )
+    return cg
 
 
 def verify_weak_gq(g: BipartiteGraph) -> bool:
@@ -347,24 +360,37 @@ def verify_weak_gq(g: BipartiteGraph) -> bool:
 
     Operationally: both classes nonempty, every degree at least 2, girth at
     least 8, and every non-adjacent opposite-class pair joined by exactly
-    one path of length 3.  The last condition is checked by counting.  At
-    girth >= 8 the non-backtracking walks j - x - y - z of length 3 from a
-    W-vertex j are paths, they end outside N(j), and no two end at the same
-    z (that would close a cycle of length at most 6).  Their number,
-    sum over x in N(j) of s_x - d(j)(d(j) - 1) with s_x = sum over y in
-    N(x) of (d(y) - 1), is therefore v - d(j) exactly when every V-vertex
-    outside N(j) is reached once.
+    one path of length 3.  This needs no girth search.  From a W-vertex j,
+    the walks j - x - y - z with y != j and z != x are paths, and there are
+    sum over x in N(j) of s_x - d(j)(d(j) - 1) of them, with
+    s_x = sum over y in N(x) of (d(y) - 1).  Two tests per W-vertex j, on
+    neighbour bitmasks, decide the definition:
+
+    - *cover*: the union of N(y) over y in N(x) and x in N(j) is all of V.
+      That union is N(j) together with the walks' endpoints, so every
+      V-vertex outside N(j) ends some walk;
+    - *count*: there are v - d(j) walks.
+
+    By pigeonhole the walks then end on distinct vertices, none of them in
+    N(j): each non-neighbour of j is joined to j by exactly one path of
+    length 3.  The tests at every j also rule out a 4-cycle, which would end
+    a walk from one of its W-vertices inside that vertex's neighbourhood,
+    and a 6-cycle, which would join one of its W-vertices to the opposite
+    vertex by two walks.  Conversely, at girth 8 and with one path per
+    non-adjacent pair, both tests hold.
     """
     if g.v == 0 or g.w == 0 or g.min_degree() < 2:
         return False
-    rep = girth(g)
-    if rep.girth is not None and rep.girth < 8:
-        return False
+    masks = [sum(1 << x for x in nb) for nb in g.adj_w]
+    # The union of N(y) over y in N(x), for each V-vertex x (none is isolated).
+    reach = [reduce(or_, map(masks.__getitem__, nb)) for nb in g.adj_v]
     dw = g.degrees_w()
     s = [sum(dw[y] for y in nb) - len(nb) for nb in g.adj_v]
+    full = (1 << g.v) - 1
     return all(
-        sum(s[x] for x in nb) - len(nb) * (len(nb) - 1) == g.v - len(nb)
-        for nb in g.adj_w
+        reduce(or_, map(reach.__getitem__, nb), masks[j]) == full
+        and sum(s[x] for x in nb) - len(nb) * (len(nb) - 1) == g.v - len(nb)
+        for j, nb in enumerate(g.adj_w)
     )
 
 

@@ -21,7 +21,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -42,14 +42,9 @@ __all__ = [
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def rational(value) -> Fraction:
-    """A Fraction, an int that is not a bool, or a string "p" or "p/q" with
-    an optional sign and surrounding whitespace, as a Fraction.
-
-    Anything else raises ValueError, as does a zero denominator or a
-    numerator or denominator with more digits than int() converts
-    (sys.get_int_max_str_digits(), 4,300 by default).
-    """
+def _ratio(value) -> tuple[int, int]:
+    """The (p, q) in lowest terms, q > 0, of what :func:`rational` accepts;
+    the one parse behind it and ``NonnegMatrix(rows)``."""
     # Fraction last: isinstance goes through its ABC metaclass.
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
@@ -62,13 +57,25 @@ def rational(value) -> Fraction:
                     f" converts to an integer (at most {sys.get_int_max_str_digits()})"
                 ) from None
             if den:
-                return Fraction(num, den)
+                g = gcd(num, den)
+                return num // g, den // g
             raise ValueError(f"{value!r} has a zero denominator")
     elif isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     elif isinstance(value, Fraction):
-        return value
+        return value.as_integer_ratio()
     raise ValueError(f"{value!r} is not a rational p or p/q")
+
+
+def rational(value) -> Fraction:
+    """A Fraction, an int that is not a bool, or a string "p" or "p/q" with
+    an optional sign and surrounding whitespace, as a Fraction.
+
+    Anything else raises ValueError, as does a zero denominator or a
+    numerator or denominator with more digits than int() converts
+    (sys.get_int_max_str_digits(), 4,300 by default).
+    """
+    return Fraction(*_ratio(value))
 
 
 class NonnegMatrix:
@@ -93,21 +100,20 @@ class NonnegMatrix:
         for row in rows:
             if not isinstance(row, (list, tuple)):
                 raise ValueError(f"matrix row {row!r} is not a list")
-            parsed.append(list(map(rational, row)))
+            parsed.append(list(map(_ratio, row)))
         if not parsed or not parsed[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(parsed[0])
         if any(len(row) != width for row in parsed):
             raise ValueError("matrix rows must all have the same length")
-        den = lcm(*[x.denominator for row in parsed for x in row])
+        den = lcm(*[q for row in parsed for _, q in row])
         cols, nums = [], []
         for row in parsed:
             row_cols, row_nums = [], []
-            for j, x in enumerate(row):
-                p, q = x.as_integer_ratio()
+            for j, (p, q) in enumerate(row):
                 if p:
                     if p < 0:
-                        raise ValueError(f"matrix entry {x} is negative")
+                        raise ValueError(f"matrix entry {Fraction(p, q)} is negative")
                     row_cols.append(j)
                     row_nums.append(p * (den // q))
             cols.append(row_cols)
@@ -164,9 +170,7 @@ def _scaled(m: NonnegMatrix, p: int, q: int, r: int, s: int) -> tuple[int, int, 
 
 def phi(m: NonnegMatrix, rho, gamma) -> Fraction:
     """sum_ij a_ij (a_i* - rho)(a_*j - gamma), exact."""
-    scaled, _, den = _scaled(
-        m, *rational(rho).as_integer_ratio(), *rational(gamma).as_integer_ratio()
-    )
+    scaled, _, den = _scaled(m, *_ratio(rho), *_ratio(gamma))
     return Fraction(scaled, den)
 
 
@@ -193,8 +197,8 @@ def check(m: NonnegMatrix, rho, gamma) -> IneqVerdict:
     Weak hypotheses are not an error: the verdict simply reports
     ``hypotheses_hold = False`` and whatever the comparison says.
     """
-    p, q = rational(rho).as_integer_ratio()
-    r, s = rational(gamma).as_integer_ratio()
+    p, q = _ratio(rho)
+    r, s = _ratio(gamma)
     if p < 0 or r < 0:
         raise ValueError("rho and gamma must be nonnegative")
     lhs, rhs, den = _scaled(m, p, q, r, s)

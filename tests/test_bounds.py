@@ -311,6 +311,32 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             bound_report(3, 3, 7)
 
+    def test_values_are_the_public_bounds(self):
+        # bound_report checks (v, w) once and calls the unchecked core of
+        # each bound, the core each public function calls after its check.
+        for v in range(1, 31):
+            for w in range(1, 31):
+                assert bound_report(v, w, 6).values == {
+                    "reiman": reiman_max_e(v, w), "coarse": girth6_coarse_bound(v, w),
+                }
+                want = {"reiman": reiman_max_e(v, w), "cubic": cubic_max_e(v, w)}
+                if unbalanced_cap(v, w) is not None:
+                    want["cap"] = unbalanced_cap(v, w)
+                want["coarse"] = girth8_coarse_bound(v, w)
+                got = bound_report(v, w, 8).values
+                assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize(
+        "bound",
+        [reiman_max_e, cubic_max_e, unbalanced_cap, girth6_coarse_bound, girth8_coarse_bound,
+         lambda v, w: bound_report(v, w, 6), lambda v, w: bound_report(v, w, 8)],
+        ids=["reiman", "cubic", "cap", "coarse6", "coarse8", "report6", "report8"],
+    )
+    def test_every_entry_point_checks_class_sizes(self, bound):
+        for v, w in ((0, 5), (5, 0), (-3, 2), (0, 0)):
+            with pytest.raises(ValueError, match="class sizes must be >= 1"):
+                bound(v, w)
+
     def test_grid_matches_the_pinned_hash(self):
         rows = [list(bound_report(v, w, g)) for g in (6, 8) for v in range(1, 101) for w in range(1, 101)]
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -314,6 +315,31 @@ class TestContract:
             g = random_uncoloured(rng, max_n=8)
             assert contract(expand(g)) == g
 
+    def test_equals_the_pairwise_definition(self):
+        # Graphs with 4-cycles too: two V-vertices with several common
+        # W-neighbours are joined once.
+        rng = random.Random(43)
+        for _ in range(300):
+            g = random_bipartite(rng, max_side=9)
+            pairs = {pair for nbrs in g.adj_w for pair in combinations(nbrs, 2)}
+            cg = contract(g)
+            assert cg == Graph(g.v, pairs)
+            assert type(cg.edges) is tuple and all(type(e) is tuple for e in cg.edges)
+
+    def test_peak_memory_is_about_the_result(self):
+        # W(7): 400 lines of 8 points, so 11,200 contracted pairs and about
+        # 600 KiB kept.  Building the pairs twice, once as a set and once
+        # more to re-validate them, peaked at 2,315 KiB.
+        g = wq_incidence(7)
+        tracemalloc.start()
+        try:
+            cg = contract(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cg.e == 11200
+        assert peak < 1 << 20
+
     def test_c4_free_size_formula(self):
         from math import comb
 
@@ -410,6 +436,33 @@ class TestWeakGQ:
         for add in random.Random(37).sample(absent, min(40, len(absent))):
             g = from_edges(base.v, base.w, list(base.edges) + [add])
             assert verify_weak_gq(g) == weak_gq_oracle(g)
+
+    @pytest.mark.parametrize("base", [wq_incidence(2), wq_incidence(3)], ids=["W(2)", "W(3)"])
+    def test_degree_preserving_swaps_fail(self, base):
+        # Swapping the ends of two edges keeps every degree, so the walk
+        # count of every W-vertex still equals v - d(j); only the cover test
+        # sees that some non-adjacent pair lost its path of length 3.
+        rng = random.Random(41)
+        present = set(base.edges)
+        swaps = [
+            ((i1, j1), (i2, j2))
+            for (i1, j1), (i2, j2) in combinations(base.edges, 2)
+            if i1 != i2 and j1 != j2 and (i1, j2) not in present and (i2, j1) not in present
+        ]
+        for (i1, j1), (i2, j2) in rng.sample(swaps, 30):
+            edges = present - {(i1, j1), (i2, j2)} | {(i1, j2), (i2, j1)}
+            g = from_edges(base.v, base.w, edges)
+            assert g.degrees_v() == base.degrees_v() and g.degrees_w() == base.degrees_w()
+            assert not verify_weak_gq(g)
+            assert not weak_gq_oracle(g)
+
+    def test_needs_no_girth_search(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("verify_weak_gq ran a girth search")
+
+        monkeypatch.setattr(graphcore, "girth", refuse)
+        assert verify_weak_gq(wq_incidence(3))
+        assert not verify_weak_gq(from_edges(4, 4, [(i, j) for i in range(4) for j in range(4)]))
 
 
 class TestJson:

@@ -16,17 +16,22 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("bounds", "constructions", "graphcore", "meanineq", "search")
 
+# Standard-library modules whose loading is pinned: dataclasses, and
+# fractions, which also loads decimal.
+WATCHED = ("dataclasses", "fractions")
+
 # Runs cli.main on its arguments (none: only imports the CLI), then prints
-# whether dataclasses was loaded before the CLI was imported and after the
-# command ran, and which of the package's modules were loaded.
+# which WATCHED modules were loaded before the CLI was imported and after
+# the command ran, and which of the package's modules were loaded.
 FOOTPRINT = f"""
 import json, sys
-before = "dataclasses" in sys.modules
+before = [m for m in {WATCHED!r} if m in sys.modules]
 from girthbound import cli
 if sys.argv[1:]:
     cli.main(sys.argv[1:])
+after = [m for m in {WATCHED!r} if m in sys.modules]
 loaded = [m for m in {MODULES!r} if "girthbound." + m in sys.modules]
-print(json.dumps([before, "dataclasses" in sys.modules, loaded]))
+print(json.dumps([before, after, loaded]))
 """
 
 # Facts about the package in a process that imports nothing else of it.
@@ -57,12 +62,13 @@ def last_json_line(code: str, *argv, cwd=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def footprint(*argv, cwd=None):
-    """(whether dataclasses loaded, package modules loaded) by a CLI run."""
+def footprint(*argv, cwd=None, watched="dataclasses"):
+    """(whether a CLI run loaded the module ``watched``, package modules it
+    loaded)."""
     before, after, loaded = last_json_line(FOOTPRINT, *argv, cwd=cwd)
-    if before:
-        pytest.skip("this interpreter loads dataclasses before any package code runs")
-    return after, loaded
+    if watched in before:
+        pytest.skip(f"this interpreter loads {watched} before any package code runs")
+    return watched in after, loaded
 
 
 @pytest.fixture
@@ -99,6 +105,25 @@ def test_a_command_loads_only_its_modules(files, argv, modules):
     dataclasses, loaded = footprint(*argv, cwd=files)
     assert loaded == modules
     assert not dataclasses
+
+
+@pytest.mark.parametrize(
+    "argv,loads",
+    [
+        (["bound", "--v", "7", "--w", "7"], False),
+        (["table", "--v-range", "3:4", "--w-range", "3:4"], False),
+        (["table", "--v-range", "3:4", "--w-range", "3:4", "--with-search"], False),
+        (["search", "--v", "4", "--w", "4"], False),
+        (["verify", "c6.json"], False),
+        (["awm", "m.json", "--rho", "4", "--gamma", "5"], True),
+    ],
+    ids=["bound", "table", "table-with-search", "search", "verify", "awm"],
+)
+def test_only_awm_loads_fractions(files, argv, loads):
+    # bounds imports Fraction only inside balanced_approx_at_cube, which no
+    # command calls; the mean inequality is exact rational arithmetic.
+    fractions, _ = footprint(*argv, cwd=files, watched="fractions")
+    assert fractions is loads
 
 
 def test_importing_the_package_loads_no_module_and_names_resolve_on_use():

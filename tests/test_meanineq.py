@@ -1,6 +1,8 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -136,6 +138,72 @@ class TestMatrix:
             NonnegMatrix.from_graph(from_edges(0, 3, []))
         with pytest.raises(ValueError, match="nonempty"):
             NonnegMatrix.from_graph(from_edges(2, 0, []))
+
+
+def fraction_per_entry(rows):
+    """(_den, _cols, _nums, row_sums, col_sums, total) of a matrix by the
+    reference parse: one Fraction per entry, then their common denominator."""
+    entries = [[rational_oracle(x) for x in row] for row in rows]
+    den = lcm(*[x.denominator for row in entries for x in row])
+    cols = [[j for j, x in enumerate(row) if x] for row in entries]
+    nums = [[x.numerator * (den // x.denominator) for x in row if x] for row in entries]
+    return (den, cols, nums, *margins_oracle(entries))
+
+
+def random_entry(rng: random.Random):
+    """An entry in one of the forms a matrix file or a caller may use."""
+    p, q = rng.randint(0, 30), rng.randint(1, 12)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return p
+    if kind == 1:
+        return str(p)
+    if kind == 2:
+        k = rng.randint(2, 5)  # unreduced: "4/6" for 2/3
+        return f"{p * k}/{q * k}"
+    if kind == 3:
+        return f"{rng.choice(' +')}{p}/{q}"
+    if kind == 4:
+        return rng.choice(["", " ", "\t"]) + f"{p}/{q}" + rng.choice(["", " ", "\n"])
+    return Fraction(p, q)
+
+
+class TestParseParity:
+    def test_fields_equal_the_fraction_per_entry_parse(self):
+        rng = random.Random(53)
+        cases = [[[" 4/6 ", "+1"], ["-0/5", Fraction(8, 12)]], [["0"]], [["007/008", 3]]]
+        for _ in range(400):
+            v, w = rng.randint(1, 6), rng.randint(1, 6)
+            cases.append([[random_entry(rng) for _ in range(w)] for _ in range(v)])
+        for rows in cases:
+            m = NonnegMatrix(rows)
+            got = (m._den, m._cols, m._nums, m.row_sums, m.col_sums, m.total)
+            assert got == fraction_per_entry(rows), rows
+            assert m._row_nums == [sum(r) for r in m._nums]
+            assert all(type(x) is Fraction for x in (*m.row_sums, *m.col_sums, m.total))
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (True, "True is not a rational p or p/q"),
+            (1.5, "1.5 is not a rational p or p/q"),
+            ("1e5", "'1e5' is not a rational p or p/q"),
+            ("1/0", "'1/0' has a zero denominator"),
+            ("-2/4", "matrix entry -1/2 is negative"),
+            (-7, "matrix entry -7 is negative"),
+            ("9" * 4301, "rational 999999999999... has more digits than Python converts"
+             f" to an integer (at most {sys.get_int_max_str_digits()})"),
+        ],
+        ids=["bool", "float", "exponent", "zero-denominator", "negative", "negative-int", "digits"],
+    )
+    def test_refused_entries_keep_their_messages(self, entry, message):
+        with pytest.raises(ValueError) as exc:
+            NonnegMatrix([[1, 2], [3, entry]])
+        assert str(exc.value) == message
+        if "negative" not in message:
+            with pytest.raises(ValueError) as exc:
+                rational(entry)
+            assert str(exc.value) == message
 
 
 class TestPhi:
