@@ -79,19 +79,18 @@ def rational(value) -> Fraction:
 
 
 class NonnegMatrix:
-    """Rectangular matrix of nonnegative rationals with cached margins.
+    """Rectangular matrix of nonnegative rationals.
 
-    The margins ``row_sums``, ``col_sums`` and ``total`` are Fractions.  The
-    entries are kept only in the private integer form: the least common
-    denominator ``_den`` of the entries, each row's nonzero entries as
-    column indices (``_cols``) and numerators over ``_den`` (``_nums``),
-    and the margins' numerators ``_row_nums`` and ``_col_nums``.
+    The margins ``row_sums``, ``col_sums`` and ``total`` are read-only
+    properties that build Fractions on each read; ``check``, ``phi`` and
+    ``find_weak_hypothesis_violation`` never read them.  The entries are
+    kept only in the private integer form: the least common denominator
+    ``_den`` of the entries, each row's nonzero entries as column indices
+    (``_cols``) and numerators over ``_den`` (``_nums``), and the margins'
+    numerators ``_row_nums`` and ``_col_nums``.
     """
 
-    __slots__ = (
-        "v", "w", "row_sums", "col_sums", "total",
-        "_den", "_cols", "_nums", "_row_nums", "_col_nums",
-    )
+    __slots__ = ("v", "w", "_den", "_cols", "_nums", "_row_nums", "_col_nums")
 
     def __init__(self, rows) -> None:
         if not isinstance(rows, (list, tuple)):
@@ -128,9 +127,18 @@ class NonnegMatrix:
         for row_cols, row_nums in zip(cols, nums):
             for j, p in zip(row_cols, row_nums):
                 col_nums[j] += p
-        self.row_sums = tuple(map(Fraction, self._row_nums, [den] * self.v))
-        self.col_sums = tuple(map(Fraction, col_nums, [den] * self.w))
-        self.total = Fraction(sum(col_nums), den)
+
+    @property
+    def row_sums(self) -> tuple:
+        return tuple(Fraction(n, self._den) for n in self._row_nums)
+
+    @property
+    def col_sums(self) -> tuple:
+        return tuple(Fraction(n, self._den) for n in self._col_nums)
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(sum(self._row_nums), self._den)
 
     @classmethod
     def from_graph(cls, g) -> "NonnegMatrix":

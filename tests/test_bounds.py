@@ -343,6 +343,74 @@ class TestBoundReport:
         assert digest == json.loads(BOUNDS.read_text())["bound_report(1..100, 1..100, 6 and 8)"]
 
 
+def check_girth8_cell(v, w):
+    """Check bound_report(v, w, 8) and the public girth-8 bounds against
+    the defining inequalities: the sign change of P, the cube root, and
+    the cap a + q = max + floor(min^2 / 4) exactly where a >= q."""
+    a, b = max(v, w), min(v, w)
+    q, p = b * b // 4, v * w
+    values = bound_report(v, w, 8).values
+    c, m = values["cubic"], values["coarse"]
+    assert eval_cubic(v, w, c) <= 0 < eval_cubic(v, w, c + 1)
+    if a <= q:
+        assert m ** 3 <= 2 * p * p < (m + 1) ** 3
+    else:
+        assert m == a + q
+    if a >= q:
+        assert values["cap"] == unbalanced_cap(v, w) == a + q == m
+    else:
+        assert "cap" not in values and unbalanced_cap(v, w) is None
+    assert (c, m) == (cubic_max_e(v, w), girth8_coarse_bound(v, w))
+
+
+class TestGirth8Starts:
+    # bound_report inverts the cubic from the coarse value m + 1 when
+    # max <= floor(min^2 / 4), and from max + 4 floor(min^2 / 4) + 1
+    # otherwise; both must lie above the root, where P > 0.
+
+    def test_starts_lie_above_the_root(self):
+        cube_root_branch = 0
+        for v in range(1, 301):
+            for w in range(1, 301):
+                a, b = max(v, w), min(v, w)
+                q = b * b // 4
+                if a <= q:
+                    m = girth8_coarse_bound(v, w)
+                    assert m ** 3 <= 2 * (v * w) ** 2 < (m + 1) ** 3
+                    assert m + 1 >= a and eval_cubic(v, w, m + 1) > 0, (v, w)
+                    cube_root_branch += 1
+                else:
+                    x = a + 4 * q + 1
+                    assert x >= a and eval_cubic(v, w, x) > 0, (v, w)
+        assert cube_root_branch > 60000
+
+    def test_branch_boundary(self):
+        # a = q - 1, q, q + 1 around q = floor(b^2 / 4): the cap applies from
+        # a = q on, and the coarse bound leaves the cube root after a = q.
+        sizes = [*range(5, 200)]
+        for k in range(3, 51):
+            sizes += [10 ** k - 1, 10 ** k, 10 ** k + 1]
+        for b in sizes:
+            q = b * b // 4
+            for a in (q - 1, q, q + 1):
+                check_girth8_cell(a, b)
+                check_girth8_cell(b, a)
+
+    def test_random_pairs_in_both_branches(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            b = rng.randint(5, 10 ** rng.randint(1, 150))
+            q = b * b // 4
+            v, w = rng.randint(b, q), b  # cube-root branch
+            check_girth8_cell(v, w)
+            check_girth8_cell(w, v)
+            v = rng.randint(q + 1, max(q + 1, 10 ** 300))  # unbalanced branch
+            check_girth8_cell(v, w)
+            check_girth8_cell(w, v)
+        for _ in range(300):
+            check_girth8_cell(rng.randint(1, 10 ** rng.randint(1, 300)), rng.randint(1, 10 ** rng.randint(1, 300)))
+
+
 class TestSizeCap:
     def test_matches_the_paper_bound_of_each_floor(self):
         for v in range(1, 12):

@@ -1,4 +1,8 @@
-"""The package exports exactly what its modules list in ``__all__``."""
+"""The package exports exactly what its modules list in ``__all__``, and
+their annotations resolve."""
+
+import inspect
+import typing
 
 import girthbound
 from girthbound import bounds, constructions, graphcore, meanineq, search
@@ -35,3 +39,33 @@ def test_each_name_is_its_modules_object():
 def test_names_listed_by_hand_are_still_exported():
     assert len(LISTED_BY_HAND) == 41
     assert LISTED_BY_HAND <= set(girthbound.__all__)
+
+
+def public_callables():
+    """(qualified name, function) for every public function of the five
+    modules and every public method, property or classmethod of their
+    public classes."""
+    for m in MODULES:
+        for name in m.__all__:
+            obj = getattr(m, name)
+            if inspect.isfunction(obj):
+                yield f"{m.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                    if inspect.isfunction(func):
+                        yield f"{m.__name__}.{name}.{attr}", func
+
+
+def test_every_annotation_resolves():
+    # The modules postpone annotations, so a name that is imported only
+    # inside a function would fail here, not at import.
+    checked = []
+    for name, func in public_callables():
+        typing.get_type_hints(func)
+        checked.append(name)
+    assert "girthbound.bounds.balanced_approx_at_cube" in checked
+    assert "girthbound.meanineq.NonnegMatrix.row_sums" in checked
+    assert len(checked) > 40

@@ -71,11 +71,34 @@ class TestRational:
 
 
 class TestMatrix:
-    def test_margins_cached(self):
+    def test_margins_are_built_on_read(self):
         m = NonnegMatrix([[2, 5], [4, 0]])
         assert m.row_sums == (7, 4)
         assert m.col_sums == (6, 5)
         assert m.total == 11
+        for name in ("row_sums", "col_sums", "total"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0)
+
+    def test_only_returned_values_build_fractions(self, monkeypatch):
+        # Building a matrix makes no Fraction: the margins are built only
+        # when read.  check makes two, its phi and rhs.
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(meanineq, "Fraction", Counted)
+        m = NonnegMatrix([[2, "5/3"], [4, 0], ["1/2", 7]])
+        assert built == []
+        NonnegMatrix.from_graph(wq_incidence(2))
+        assert built == []
+        verdict = check(m, "1/2", 1)
+        assert len(built) == 2
+        assert type(verdict.phi) is type(verdict.rhs) is Counted
+        assert m.total == Fraction(91, 6) and len(built) == 3
 
     def test_string_and_fraction_entries(self):
         m = NonnegMatrix([["1/2", 1], [Fraction(3, 4), "2"]])
@@ -131,6 +154,7 @@ class TestMatrix:
             for slot in NonnegMatrix.__slots__:
                 assert getattr(direct, slot) == getattr(parsed, slot), slot
             values = [*direct.row_sums, *direct.col_sums, direct.total]
+            assert values == [*parsed.row_sums, *parsed.col_sums, parsed.total]
             assert all(type(x) is Fraction for x in values)
 
     def test_from_graph_needs_both_classes(self):
