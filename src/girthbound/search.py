@@ -10,7 +10,8 @@ the shared neighbour is unique, so each edge added or removed updates the
 masks by XOR, and a 4- or 6-cycle test is one or two mask intersections.
 The tree is cut by
 
-  (a) a remaining-edge count bound (degree-ordering aware) at each node,
+  (a) a ceiling on the edges each node can still reach, from the degree
+      order and the pair count (below),
   (b) a stop as soon as the best graph meets the least size bound
       bounds.bound_report proves (cubic, quadratic, coarse or unbalanced),
       which makes it optimal, and
@@ -31,6 +32,22 @@ The tree is cut by
       in a row B also holds (girth >= 6, and the choice of B), so C's rows
       outside B lie above B's block d..d+k-1, and that block decides.
 
+The pair count is Reiman's: under girth >= 6 two V-vertices share at most
+one W-neighbour, so the columns cover each pair of rows at most once and
+sum_j C(d_j, 2) <= C(v, 2).  The kernel keeps the room C(v, 2) less that
+sum as it goes: an edge added to a column of degree d covers d new pairs.
+Each edge still to come fills a slot of some column, and the t-th slot of
+a column costs its degree before the edge, so a completion's slots cost at
+most the room.  The active column, of degree d with top row x, has at most
+min(prev - d, v - 1 - x) slots left (prev the previous column's degree,
+v for column 0), costing d, d + 1, ...; each later column has slots
+costing 0, 1, ..., D - 1, for D the active column's largest reachable
+degree, which no later column exceeds.  No set of slots that fits in the
+room is larger than the cheapest one that does, so its size bounds the
+edges any extension of girth >= 6 can add.  The ceiling cuts only
+branches that cannot beat the best graph, and it uses the pair count,
+never the Reiman or cubic value itself.
+
 The search is one depth-first tree in edge order.  Its root is the empty
 graph, and its one child is the single edge (0, 0), since canonical form
 puts the first edge in column 0 and column 0 on a prefix of the rows.  A
@@ -38,6 +55,20 @@ branch is pruned only when it cannot strictly beat the best graph so far,
 so the witness is the first graph in edge order that reaches the maximum.
 ``exhaustive`` means the maximum is proven, by the completed tree or by the
 bound of (b).
+
+The tree is searched with no more rows than columns: for v > w it runs on
+(w, v), since the maximum of (v, w) is that of (w, v), and its witness is
+transposed back.  The certificate, its witness and every error message
+keep the caller's v and w; both orientations cost the same nodes.
+
+A parent tests each child's ceiling before building it.  In one segment
+of children (growing the active column, or opening the next one) the
+ceiling falls as the child's row rises, so once a child cannot beat the
+best graph the rest of the segment cannot either.  Those children are
+still counted as nodes, each with the budget and clock checks a visited
+node gets, but they are never built and never called: they are leaves.
+So the node count is that of the tree that visits each child and prunes
+it on entry.
 
 The node budget applies to the whole search, the empty root included, and
 a graph is credited only once its node is counted.  The time budget is an
@@ -125,6 +156,24 @@ def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
     return reach
 
 
+def _slots(room: int, deg: int, grow: int, later: int) -> int:
+    """Most edges that fit in ``room`` pair counts: the number of cheapest
+    slots whose costs sum to at most ``room``.
+
+    The active column, of degree ``deg``, has ``grow`` slots left, costing
+    deg, deg + 1, ...; each of the ``later`` columns after it has slots
+    costing 0, 1, ..., deg + grow - 1 (no later column outgrows it).
+    """
+    k = 0
+    for c in range(deg + grow):
+        n = later + 1 if c >= deg else later
+        if c * n > room:
+            return k + room // c
+        room -= c * n
+        k += n
+    return k
+
+
 def _explore(
     v: int,
     w: int,
@@ -141,6 +190,8 @@ def _explore(
     The node (0, 0) itself is counted, and a graph is credited only once its
     node is: with no node to spend this returns (0, (), 0, False).
     """
+    if max_nodes == 0:
+        return 0, (), 0, False
     amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
     amask_w[0] = 1
     # Contraction masks: cmask[x] holds the V-vertices that share a
@@ -150,21 +201,13 @@ def _explore(
     # one edge no two V-vertices share a W-neighbour, so they start empty.
     cmask = [0] * v
     best_e, best_masks = 0, ()  # rec credits the edge (0, 0) when it visits it
-    total_edges = v * w
-
-    nodes = 0
+    nodes = 1  # the node (0, 0)
     completed = True
 
-    def rec(last_m: int, e_cur: int) -> bool:
-        """Visit a node and its extensions; True stops the whole search."""
+    def rec(last_m: int, e_cur: int, room: int) -> bool:
+        """Expand a counted node; True stops the whole search.  ``room`` is
+        C(v, 2) less the pairs of V-vertices the graph's columns cover."""
         nonlocal nodes, best_e, best_masks, completed
-        if nodes == max_nodes:
-            completed = False
-            return True
-        nodes += 1
-        if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-            completed = False
-            return True
         col = last_m // v
         if e_cur > best_e:
             best_e = e_cur
@@ -172,23 +215,18 @@ def _explore(
             if best_e >= cap:
                 return True  # it meets a proven bound, so it is optimal
         deg = amask_w[col].bit_count()
-        ceiling = e_cur + (total_edges - last_m - 1)
-        if col >= 1:
-            # Degrees are non-increasing, so no later column can exceed
-            # the previous one.
-            prev = amask_w[col - 1].bit_count()
-            by_degree = e_cur + (prev - deg) + (w - 1 - col) * prev
-            if by_degree < ceiling:
-                ceiling = by_degree
-        if ceiling <= best_e:
-            return False
-        # Candidate edges in edge order: first grow the active column, then
-        # open the next one, which finalizes the active column.
+        prev = amask_w[col - 1].bit_count() if col else v
+        later = w - 1 - col
+        # Candidate edges in edge order, each segment with its child's slot
+        # parameters (degree, growth left, later columns, room): first grow
+        # the active column, then open the next one, which finalizes it.
         segments = []
         if col == 0:
             # Class V symmetry: column 0 holds rows 0..d-1, so it grows
             # only by its next row.
-            segments.append((0, range(last_m + 1, v)[:1]))
+            segments.append(
+                (0, range(last_m + 1, v)[:1], deg + 1, prev - deg - 1, later, room - deg)
+            )
         elif deg < prev:
             rows = range(last_m + 1 - col * v, v)
             if col == 1:
@@ -196,8 +234,8 @@ def _explore(
                 # {0} or empty, so from {0} it grows only by row d, and
                 # from a top row x >= d only by row x + 1.
                 rows = range(max(rows.start, prev), v)[:1]
-            segments.append((col, rows))
-        opens = col + 1 < w
+            segments.append((col, rows, deg + 1, prev - deg - 1, later, room - deg))
+        opens = later > 0
         if opens and col >= 1 and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
             # not when the previous column's set is lexicographically larger.
@@ -205,13 +243,33 @@ def _explore(
             opens = not diff or bool(amask_w[col - 1] & (diff & -diff))
         if opens:
             # Column 1 opens only on row 0 or row d = deg(column 0).
-            segments.append((col + 1, range(0, v, deg)[:2] if col == 0 else range(v)))
-        for j, rows in segments:
+            rows = range(0, v, deg)[:2] if col == 0 else range(v)
+            segments.append((col + 1, rows, 1, deg - 1, later - 1, room))
+        e_next = e_cur + 1
+        for j, rows, child_deg, grow, after, left in segments:
             base = j * v
             nbrs = amask_w[j]
             reach = _short_cycle_mask(cmask, nbrs, min_girth)
+            dead = False
             for i in rows:
                 if cmask[i] & reach:
+                    continue
+                if nodes == max_nodes:
+                    completed = False
+                    return True
+                nodes += 1
+                if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
+                    completed = False
+                    return True
+                if dead:
+                    continue
+                # The child's ceiling falls as its top row i rises, so the
+                # first child that cannot beat best_e ends the segment's
+                # branches: the rest are counted as leaves, never built.
+                above = v - 1 - i  # the rows left above the child's top row
+                ceiling = e_next + _slots(left, child_deg, grow if grow < above else above, after)
+                if ceiling <= best_e:
+                    dead = True
                     continue
                 ibit = 1 << i
                 amask_w[j] = nbrs | ibit
@@ -221,7 +279,7 @@ def _explore(
                     low = rest & -rest
                     cmask[low.bit_length() - 1] ^= ibit
                     rest ^= low
-                if rec(base + i, e_cur + 1):
+                if rec(base + i, e_next, left):
                     return True  # the masks are left dirty: nothing reads them again
                 rest = nbrs
                 while rest:
@@ -232,13 +290,7 @@ def _explore(
                 amask_w[j] = nbrs
         return False
 
-    try:
-        rec(0, 1)
-    except RecursionError:
-        raise ValueError(
-            f"search on v={v} w={w} recurses once per edge, past Python's"
-            f" recursion limit of {sys.getrecursionlimit()}"
-        ) from None
+    rec(0, 1, v * (v - 1) // 2)
     return best_e, best_masks, nodes, completed
 
 
@@ -266,17 +318,27 @@ def _search(
 
     ``cap`` must be a proven upper bound on the maximum (``v * w`` stops
     nothing early), because the search stops as soon as its best graph
-    reaches it.
+    reaches it.  For v > w the tree runs on (w, v) and the witness is
+    transposed back.
     """
     start = time.monotonic()
+    flip = v > w  # search the orientation with no more rows than columns
+    rows, cols = (w, v) if flip else (v, w)
     # The empty root is one node; the tree from the edge (0, 0) gets the rest.
-    best_e, best_masks, nodes, exhaustive = _explore(
-        v, w, min_girth, cap, max_nodes - 1, start + max_seconds
-    )
-
-    witness = graphcore.from_edges(
-        v, w, [(i, j) for j, mask in enumerate(best_masks) for i in graphcore._bits(mask)]
-    )
+    try:
+        best_e, best_masks, nodes, exhaustive = _explore(
+            rows, cols, min_girth, cap, max_nodes - 1, start + max_seconds
+        )
+    except RecursionError:
+        raise ValueError(
+            f"search on v={v} w={w} recurses once per edge, past Python's"
+            f" recursion limit of {sys.getrecursionlimit()}"
+        ) from None
+    witness = graphcore.from_edges(v, w, [
+        (j, i) if flip else (i, j)
+        for j, mask in enumerate(best_masks)
+        for i in graphcore._bits(mask)
+    ])
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:
         raise RuntimeError(
@@ -326,9 +388,12 @@ def certify_bound(
     """True iff the searched maximum respects the matching size bound.
 
     Girth 8 compares against the cubic bound, girth 6 against the
-    quadratic one.  The search behind it prunes against no bound, so the
-    comparison checks the bound instead of assuming it.  A non-exhaustive
-    search cannot certify either way and raises BudgetExhausted.
+    quadratic one.  The search behind it prunes only by the pair count
+    that every graph of girth >= 6 satisfies (see the module docstring),
+    never by the Reiman or cubic value, and it does not stop at any bound,
+    so the comparison checks the bound instead of assuming it.  A
+    non-exhaustive search cannot certify either way and raises
+    BudgetExhausted.
     ``threads`` is checked as in max_size and changes nothing.
     """
     _validate(v, w, max_nodes, max_seconds, threads)

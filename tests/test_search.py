@@ -123,11 +123,11 @@ class TestSmallExactValues:
 class TestBruteForceOracle:
     def test_agreement_on_all_tiny_instances(self):
         # Full subset enumeration vs the pruned symmetry-broken search, with
-        # v > w too: columns 0 and 1 then have the most rows that the
-        # class-V symmetry break fixes; 5x4, 6x3 and 7x3 take those cases
-        # past 16 cells.  The uncapped search (certify_bound's) runs to the
-        # end of its tree, so a stop at the bound cannot hide an optimum
-        # that the symmetry break lost.
+        # v > w too, which the search runs transposed; 5x4, 6x3 and 7x3
+        # take those cases past 16 cells.  The uncapped search
+        # (certify_bound's) runs to the end of its tree, so a stop at the
+        # bound cannot hide an optimum that the symmetry break or the pair
+        # count lost.
         pairs = [(v, w) for v in range(1, 9) for w in range(1, 9) if v * w <= 16]
         for g in (6, 8):
             for v, w in pairs + [(5, 4), (6, 3), (7, 3)]:
@@ -187,9 +187,17 @@ class TestEqualityCase:
 
 class TestSymmetryAndMonotonicity:
     def test_role_symmetry(self):
-        for v, w in ((3, 5), (4, 6), (2, 5)):
-            assert max_size(v, w, 8).e_max == max_size(w, v, 8).e_max
-            assert max_size(v, w, 6).e_max == max_size(w, v, 6).e_max
+        # The search runs on (min, max) and transposes its witness back, so
+        # both orientations cost the same nodes and share one witness.
+        for g in (6, 8):
+            for v in range(1, 7):
+                for w in range(1, v):
+                    tall, wide = max_size(v, w, g), max_size(w, v, g)
+                    assert (tall.v, tall.w, tall.witness.v, tall.witness.w) == (v, w, v, w)
+                    assert (tall.e_max, tall.exhaustive, tall.nodes_explored) == (
+                        wide.e_max, wide.exhaustive, wide.nodes_explored
+                    ), (v, w, g)
+                    assert tall.witness == from_edges(v, w, [(i, j) for j, i in wide.witness.edges])
 
     def test_monotone_in_v(self):
         for w in (3, 4):
@@ -265,6 +273,12 @@ class TestBoundCertification:
         assert certify_bound(3, 3, 6)
         assert max_size(3, 3, 6).e_max == 6 == bounds.reiman_max_e(3, 3)
 
+    @pytest.mark.parametrize("g", [6, 8])
+    def test_certify_is_symmetric(self, g):
+        for v in range(1, 6):
+            for w in range(1, 6):
+                assert certify_bound(v, w, g) == certify_bound(w, v, g), (v, w, g)
+
     def test_certify_checks_the_bound_it_reports(self, monkeypatch):
         # A bound one below the true maximum must be refuted, which a search
         # pruned against that same bound could never do.
@@ -304,14 +318,19 @@ class TestDeterminismAndBudgets:
     @pytest.mark.parametrize(
         "v,w,g,nodes",
         [
-            (7, 5, 8, 1223),
-            (7, 6, 6, 2220),
-            (9, 6, 8, 44907),
+            # Without the pair count, and each in its own orientation, these
+            # three take 1,223, 2,220 and 44,907 nodes.
+            (7, 5, 8, 397),
+            (7, 6, 6, 358),
+            (9, 6, 8, 6806),
             (8, 3, 8, 11),
             (300, 3, 8, 303),
             # The maximum, found under (0, 0), (1, 0), prunes the two later
-            # branches; restarting each branch with no best graph takes 2,299.
-            (6, 8, 6, 2227),
+            # branches.  Without the pair count the tree takes 2,227 nodes.
+            (6, 8, 6, 364),
+            # Searched as 5x40; in its own orientation it takes 142,958
+            # nodes.
+            (40, 5, 8, 760),
         ],
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
@@ -320,10 +339,11 @@ class TestDeterminismAndBudgets:
 
     def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
         # g8 8x7 lies below every bound, so only the completed tree proves
-        # 17; with column 0 free it took 12,217,708 nodes, and with only
-        # column 0 fixed 380,176.
+        # 17; with column 0 free it took 12,217,708 nodes, with only
+        # column 0 fixed 380,176, and without the pair count and the
+        # transposed search 57,206.
         cert = max_size(8, 7, 8)
-        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 57206)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 46101)
         assert cert.optimality == "exhaustive"
 
     def test_g6_9x9_is_proven_within_a_million_nodes(self):
@@ -348,6 +368,16 @@ class TestDeterminismAndBudgets:
             assert cert.exhaustive
             got = (cert.e_max, [list(e) for e in cert.witness.edges])
             assert got == (row["e_max"], row["edges"]), row
+
+    def test_certificates_with_v_above_w_are_transposes(self):
+        rows = json.loads(CERTIFICATES.read_text())
+        table = {(r["v"], r["w"], r["girth"]): r for r in rows}
+        tall = [r for r in rows if r["v"] > r["w"]]
+        assert len(tall) == 106
+        for row in tall:
+            wide = table[row["w"], row["v"], row["girth"]]
+            assert row["e_max"] == wide["e_max"], row
+            assert row["edges"] == sorted([j, i] for i, j in wide["edges"]), row
 
     @pytest.mark.parametrize("g", [6, 8])
     def test_default_budgets_complete_up_to_64_cells(self, g):
@@ -395,8 +425,8 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize("max_nodes", [1, 2, 5, 9, 10, 50, 1000])
     def test_node_budget_is_global(self, max_nodes):
-        # 6x7 g8 takes 5,921 nodes, so every budget here cuts it, and a
-        # cut search has spent exactly its budget.
+        # 6x7 g8 takes 5,141 nodes, so every budget here cuts it, and a cut
+        # search has spent exactly its budget.
         cert = max_size(6, 7, 8, max_nodes=max_nodes)
         assert not cert.exhaustive
         assert cert.nodes_explored == max_nodes
@@ -411,13 +441,28 @@ class TestDeterminismAndBudgets:
             assert cert.witness.e == cert.e_max
         # A clock that moves a second per reading: the deadline has passed
         # before the first node, and the search stops at its first clock
-        # check, after the root and 1,024 nodes of the tree.
+        # check, after the root and 1,024 nodes of the tree, by when the
+        # maximum of 14 has been found (at node 999).
         clock = iter(range(10 ** 6))
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
         cert = max_size(6, 7, 8, max_seconds=0.5)
-        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (13, 1025, False)
+        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (14, 1025, False)
         assert cert.e_max < cert.nodes_explored
         assert cert.witness.e == cert.e_max
+
+    def test_leaves_counted_by_their_parent_spend_the_budget(self):
+        # g6 6x8 takes 364 nodes, 292 of them leaves that their parent
+        # counts without building.  A budget stops the search at exactly
+        # its size wherever it falls, on such a leaf or on a built node.
+        full = max_size(6, 8, 6)
+        assert (full.nodes_explored, full.exhaustive) == (364, True)
+        for max_nodes in range(1, full.nodes_explored):
+            cert = max_size(6, 8, 6, max_nodes=max_nodes)
+            assert (cert.nodes_explored, cert.exhaustive) == (max_nodes, False), max_nodes
+            assert cert.e_max < max_nodes
+            assert cert.witness.e == cert.e_max
+        done = max_size(6, 8, 6, max_nodes=full.nodes_explored)
+        assert (done.e_max, done.witness, done.exhaustive) == (full.e_max, full.witness, True)
 
     def test_explore_returns_masks_only_up_to_the_last_column_in_use(self):
         # A million columns, of which the best graph after 500 nodes uses
@@ -445,8 +490,9 @@ class TestDeterminismAndBudgets:
         assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (602, True, 603)
 
     def test_certify_raises_on_budget(self):
+        # The uncapped search of g8 6x7 takes thousands of nodes.
         with pytest.raises(BudgetExhausted):
-            certify_bound(8, 3, 8, max_nodes=50)
+            certify_bound(6, 7, 8, max_nodes=50)
 
     def test_validation(self):
         with pytest.raises(ValueError):
