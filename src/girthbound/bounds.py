@@ -54,85 +54,19 @@ def _require_positive(v: int, w: int) -> None:
 
 
 def reiman_max_e(v: int, w: int) -> int:
-    """Largest integer e with O nonpositive in both class orientations.
-
-    The (min, max) orientation is binding: the positive root of
-    X^2 - vX - vw(w-1) already makes O(v, w, .) nonnegative for v <= w, so
-    only one quadratic needs inverting: the largest integer e with
-    O(a, b, e) <= 0 is floor((b + sqrt(D)) / 2) with D = b^2 + 4ab(a-1),
-    which equals (b + isqrt(D)) // 2 exactly for integers b, D >= 0.
-    """
-    _require_positive(v, w)
-    return _reiman_max_e(v, w)
-
-
-def _reiman_max_e(v: int, w: int) -> int:
-    a, b = (v, w) if v <= w else (w, v)
-    return (b + isqrt(b * b + 4 * a * b * (a - 1))) // 2
+    """Largest integer e with O nonpositive in both class orientations."""
+    return bound_report(v, w, 6).values["reiman"]
 
 
 def cubic_max_e(v: int, w: int) -> int:
-    """Largest integer e >= 0 with P(v, w, e) <= 0, by integer Newton
-    steps from above.  Symmetric in (v, w).
-
-    With s = v + w and p = vw, P(e) = e(e - v)(e - w) + p(e - p).
-    P(max(v, w)) = p(max - p) <= 0, and on [max(v, w), oo) P is convex and
-    increasing, with P'(x) = x^2 + 2(x - v)(x - w) >= x^2, so the single
-    root r lies there and a tangent step from any x >= r lands at or above
-    r.  The floor step x -= P(x) // P'(x) is no longer than the tangent
-    step, so it never passes r.  When it is 0 while P(x) > 0, x > r and a
-    unit step is taken instead, which cannot pass floor(r); then
-    P(x) < P'(x), and the exact expansion
-    P(x - 2) = P(x) - 2P'(x) + 12x - 4s - 8 < 12x - x^2 - 4s - 8 is
-    negative once x >= 12, so at most two unit steps follow.  The loop
-    stops at the first x with P(x) <= 0, which is floor(r).  Only integers
-    are involved.
-
-    Any integer start x >= r will do.  Any x > p^(2/3) + s makes the first
-    term of P exceed p^2, so P(x) > 0; this function starts at
-    2^ceil(2 bitlen(p) / 3) + s, which is such an x.
-
-    ``bound_report`` starts closer to r.  Write (a, b) = (max, min) and
-    q = floor(b^2 / 4).
-
-    - When a <= q, at m + 1 for m = floor(t), t = (2p^2)^(1/3), the
-      coarse girth-8 value.  t >= a, as t^3 >= a^3 is 2b^2 >= a and
-      a <= b^2 / 4.  With t^3 = 2p^2, P(t) = p^2 + t(2p - st), so
-      P(t) >= 0 exactly when
-      f(a) = p^(2/3) / 2^(2/3) + 2^(2/3) p^(1/3) - (a + b) >= 0, p = ab.
-      f is concave in a, f(b^2 / 4) = 0, and f(b) = u(sqrt(u) - sqrt(2))^2
-      >= 0 with u = b^(2/3) / 2^(1/3).  So f >= 0 on [b, b^2 / 4],
-      P(t) >= 0, and t >= r because P increases on [a, oo): m + 1 > t >= r.
-    - When a > q, at x = a + 4q + 1 >= a + b^2.  Then x - a >= b^2 and
-      x - b >= a, so x(x - a)(x - b) >= a^2 b^2 = p^2 > p(p - x), and
-      P(x) > 0 with x > a: x > r.
-
-    Over v, w <= 100 they take 4.1 evaluations of P per pair on average,
-    against 5.9 from this function's own start.
-    """
-    _require_positive(v, w)
-    return _cubic_max_e(v, w, (1 << (2 * (v * w).bit_length() + 2) // 3) + v + w)
-
-
-def _cubic_max_e(v: int, w: int, x: int) -> int:
-    """The cubic bound by Newton steps from x, any integer at or above
-    the root (see cubic_max_e)."""
-    s, p = v + w, v * w
-    while True:
-        value = x * (x * (x - s) + 2 * p) - p * p  # P(v, w, x)
-        if value <= 0:
-            return x
-        x -= value // (x * (3 * x - 2 * s) + 2 * p) or 1
+    """Largest integer e >= 0 with P(v, w, e) <= 0.  Symmetric in (v, w)."""
+    return bound_report(v, w, 8).values["cubic"]
 
 
 def size_cap(v: int, w: int, girth: int) -> int:
     """The paper's size bound at a girth floor: the cubic bound at girth 8,
     the quadratic (Reiman) bound at girth 6."""
-    if girth == 8:
-        return cubic_max_e(v, w)
-    if girth == 6:
-        return reiman_max_e(v, w)
-    raise ValueError(f"girth must be 6 or 8, got {girth}")
+    return bound_report(v, w, girth).values["cubic" if girth == 8 else "reiman"]
 
 
 def unbalanced_cap(v: int, w: int) -> int | None:
@@ -141,22 +75,7 @@ def unbalanced_cap(v: int, w: int) -> int | None:
     Applies to graphs without 4- and 6-cycles; absent (None) outside the
     unbalanced regime.
     """
-    _require_positive(v, w)
-    a, q = _max_quarter(v, w)
-    return a + q if a >= q else None
-
-
-def _max_quarter(v: int, w: int):
-    """(a, q) = (max(v, w), floor(min(v, w)^2 / 4)): the unbalanced cap
-    applies when a >= q, the coarse girth-8 cube root when a <= q."""
-    return max(v, w), min(v, w) ** 2 // 4
-
-
-def _girth6_coarse_oriented(v: int, w: int) -> int:
-    half = v * (v - 1) // 2
-    if w <= half:
-        return isqrt(2 * v * w * (v - 1))
-    return half + w
+    return bound_report(v, w, 8).values.get("cap")
 
 
 def girth6_coarse_bound(v: int, w: int) -> int:
@@ -166,34 +85,7 @@ def girth6_coarse_bound(v: int, w: int) -> int:
     The statement is orientation-dependent, so both role assignments are
     evaluated and the smaller value returned.
     """
-    _require_positive(v, w)
-    return _girth6_coarse_bound(v, w)
-
-
-def _girth6_coarse_bound(v: int, w: int) -> int:
-    return min(_girth6_coarse_oriented(v, w), _girth6_coarse_oriented(w, v))
-
-
-def _icbrt(n: int) -> int:
-    """Largest integer m with m^3 <= n (n >= 0), by integer Newton steps
-    from above.
-
-    The start x = 2^ceil(bitlen(n) / 3) has x^3 > n.  By the AM-GM
-    inequality (2x + n/x^2) / 3 >= n^(1/3), so the floor step
-    x <- (2x + n // x^2) // 3 never drops below m; while x > m it
-    strictly falls, because x^3 > n.  The first step that does not fall
-    therefore starts from m.
-    """
-    if n < 0:
-        raise ValueError("negative argument")
-    if n == 0:
-        return 0
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
+    return bound_report(v, w, 6).values["coarse"]
 
 
 def girth8_coarse_bound(v: int, w: int) -> int:
@@ -206,14 +98,24 @@ def girth8_coarse_bound(v: int, w: int) -> int:
     all fail the branch condition, so they take the second alternative as
     required.
     """
-    _require_positive(v, w)
-    return _girth8_coarse_bound(v * w, *_max_quarter(v, w))
+    return bound_report(v, w, 8).values["coarse"]
 
 
-def _girth8_coarse_bound(p: int, a: int, q: int) -> int:
-    if a <= q:
-        return _icbrt(2 * p * p)
-    return a + q
+def _girth6_coarse_oriented(v: int, w: int) -> int:
+    half = v * (v - 1) // 2
+    if w <= half:
+        return isqrt(2 * v * w * (v - 1))
+    return half + w
+
+
+def _descend(s: int, t: int, c: int, x: int) -> int:
+    """Largest integer x with x^3 - s x^2 + t x - c <= 0, by integer Newton
+    steps down from x, an integer above the root (proofs in bound_report)."""
+    while True:
+        value = x * (x * (x - s) + t) - c
+        if value <= 0:
+            return x
+        x -= value // (x * (3 * x - 2 * s) + t) or 1
 
 
 def balanced_approx(v: int) -> float:
@@ -284,33 +186,79 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     Girth 6: reiman and the coarse 4-cycle-free bound.  Girth 8 adds the
     cubic, the unbalanced cap when defined, and uses the 4/6-cycle-free
     coarse bound; reiman stays applicable since girth 8 implies girth 6.
-    (v, w) is checked once, here; each value comes from the unchecked core
-    of its public function, except the cap, which is the coarse value
-    wherever it applies (below).
+    Every bound is computed here, after one check of (v, w) and the girth
+    floor; each public single-bound function returns one of these values.
+    Below, (a, b) = (max(v, w), min(v, w)), p = vw and q = floor(b^2 / 4).
 
-    At girth 8, (a, q) = (max, floor(min^2 / 4)) is computed once.  The
-    coarse bound comes first: when a <= q it is m = floor((2 (vw)^2)^(1/3)),
-    and the cubic is inverted from m + 1; otherwise from a + 4q + 1.  Both
-    starts lie above the cubic's root (proofs in cubic_max_e).  Where the
-    cap applies (a >= q) it is the coarse value itself: for a > q both are
-    a + q, and for a = q, with b^2 = 4q + c and c in {0, 1},
-    (2q)^3 <= 2 (vw)^2 = 8q^3 + 2cq^2 < (2q + 1)^3, so m = 2q = a + q.
-    At girth 6 one comparison picks the binding bound.
+    Reiman.  The (min, max) orientation is binding: the positive root of
+    X^2 - bX - ba(a-1) already makes O(b, a, .) nonnegative, so only one
+    quadratic needs inverting: the largest integer e with O(b, a, e) <= 0
+    is floor((a + sqrt(D)) / 2) with D = a^2 + 4ab(b-1), which equals
+    (a + isqrt(D)) // 2 exactly for integers a, D >= 0.
+
+    The descent.  Let F(x) = x^3 - s x^2 + t x - c be increasing and convex
+    on [x0, oo) for an integer x0 with F(x0) <= 0, so that it has one root
+    r >= x0 there.  From an integer start above r, _descend returns
+    floor(r), the largest integer x >= x0 with F(x) <= 0.  A tangent step
+    from any x >= r lands at or above r.  The floor step
+    x -= F(x) // F'(x) is no longer than the tangent step, so it never
+    passes r.  When it is 0 while F(x) > 0, x > r and a unit step is
+    taken instead, which cannot pass floor(r); then F(x) < F'(x), and the
+    exact expansion F(x - 2) = F(x) - 2F'(x) + 12x - 4s - 8 is below
+    12x - 4s - 8 - F'(x).  F'(x) >= x^2 in both uses below, so this is
+    negative once x >= 12, and at most two unit steps follow.  The loop
+    stops at the first x with F(x) <= 0, which is floor(r).  Only
+    integers are involved.
+
+    - The cube root (s = t = 0, c = 2p^2, x0 = 0): x^3 - c is increasing
+      and convex for x >= 0, F'(x) = 3x^2, and the start
+      x = 2^ceil(bitlen(c) / 3) has x^3 >= 2^bitlen(c) > c.  So the result
+      is the largest m with m^3 <= 2p^2, the coarse girth-8 value, used
+      when a <= q.
+    - The cubic (s = a + b, t = 2p, c = p^2, x0 = a): F = P(v, w, .) and
+      P(x) = x(x - a)(x - b) + p(x - p).  P(a) = p(a - p) <= 0, and on
+      [a, oo) P is convex and increasing, with
+      P'(x) = x^2 + 2(x - a)(x - b) >= x^2.
+
+    The cubic starts above r in both branches:
+
+    - When a <= q, at m + 1 for m = floor(t'), t' = (2p^2)^(1/3), the
+      coarse value.  t' >= a, as t'^3 >= a^3 is 2b^2 >= a and
+      a <= b^2 / 4.  With t'^3 = 2p^2, P(t') = p^2 + t'(2p - st'), so
+      P(t') >= 0 exactly when
+      f(a) = p^(2/3) / 2^(2/3) + 2^(2/3) p^(1/3) - (a + b) >= 0, p = ab.
+      f is concave in a, f(b^2 / 4) = 0, and f(b) = u(sqrt(u) - sqrt(2))^2
+      >= 0 with u = b^(2/3) / 2^(1/3).  So f >= 0 on [b, b^2 / 4],
+      P(t') >= 0, and t' >= r because P increases on [a, oo): m + 1 > t' >= r.
+    - When a > q, at x = a + 4q + 1 >= a + b^2.  Then x - a >= b^2 and
+      x - b >= a, so x(x - a)(x - b) >= a^2 b^2 = p^2 > p(p - x), and
+      P(x) > 0 with x > a: x > r.
+
+    The cap.  Where it applies (a >= q) it is the coarse value itself:
+    for a > q both are a + q, and for a = q, with b^2 = 4q + c and
+    c in {0, 1}, (2q)^3 <= 2p^2 = 8q^3 + 2cq^2 < (2q + 1)^3, so
+    m = 2q = a + q.  At girth 6 one comparison picks the binding bound.
     """
     _require_positive(v, w)
     if girth_target not in (6, 8):
         raise ValueError(f"girth target must be 6 or 8, got {girth_target}")
-    reiman = _reiman_max_e(v, w)
+    a, b = (v, w) if v >= w else (w, v)
+    reiman = (a + isqrt(a * a + 4 * a * b * (b - 1))) // 2
     if girth_target == 6:
-        coarse = _girth6_coarse_bound(v, w)
+        coarse = min(_girth6_coarse_oriented(v, w), _girth6_coarse_oriented(w, v))
         # One comparison; a tie goes to reiman, first in METHOD_ORDER.
         return BoundReport(
             v, w, girth_target, {"reiman": reiman, "coarse": coarse},
             "coarse" if coarse < reiman else "reiman",
         )
-    a, q = _max_quarter(v, w)
-    coarse = _girth8_coarse_bound(v * w, a, q)
-    values = {"reiman": reiman, "cubic": _cubic_max_e(v, w, coarse + 1 if a <= q else a + 4 * q + 1)}
+    p, q = v * w, b * b // 4
+    if a <= q:
+        c = 2 * p * p
+        coarse = _descend(0, 0, c, 1 << -(-c.bit_length() // 3))
+        start = coarse + 1
+    else:
+        coarse, start = a + q, a + 4 * q + 1
+    values = {"reiman": reiman, "cubic": _descend(a + b, 2 * p, p * p, start)}
     if a >= q:
         values["cap"] = coarse
     values["coarse"] = coarse

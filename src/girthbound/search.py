@@ -70,11 +70,11 @@ node gets, but they are never built and never called: they are leaves.
 So the node count is that of the tree that visits each child and prunes
 it on entry.
 
-The node budget applies to the whole search, the empty root included, and
-a graph is credited only once its node is counted.  The time budget is an
-absolute deadline, checked every 1024 nodes.  The tree is walked by a
-recursive function, one call per edge, so a search whose graphs outgrow
-Python's recursion limit raises ValueError.
+The node budget, an integer, applies to the whole search, the empty root
+included, and a graph is credited only once its node is counted.  The
+time budget is an absolute deadline, checked every 1024 nodes.  The tree
+is walked by a recursive function, one call per edge, so a search whose
+graphs outgrow Python's recursion limit raises ValueError.
 """
 
 from __future__ import annotations
@@ -300,6 +300,8 @@ def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) 
     limit = graphcore.MAX_JSON_CLASS_SIZE  # the witness is built per vertex
     if v > limit or w > limit:
         raise ValueError(f"search takes classes of at most {limit} vertices, got v={v} w={w}")
+    if not isinstance(max_nodes, int):  # the search stops at nodes == max_nodes
+        raise ValueError(f"node budget must be an integer, got {max_nodes!r}")
     if max_nodes < 1 or not max_seconds > 0:  # NaN fails this test too
         raise ValueError("budgets must be positive")
     if threads < 1:

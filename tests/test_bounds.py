@@ -143,22 +143,33 @@ class TestCubicMaxE:
 
 
 class TestIcbrt:
+    # The coarse girth-8 bound's cube root: bound_report's Newton descent
+    # with s = t = 0, from 2^ceil(bitlen(n) / 3).
+    @staticmethod
+    def icbrt(n):
+        return bounds._descend(0, 0, n, 1 << -(-n.bit_length() // 3))
+
     def test_small_values(self):
         m = 0
         for n in range(20001):
             if (m + 1) ** 3 <= n:
                 m += 1
-            assert bounds._icbrt(n) == m, n
+            assert self.icbrt(n) == m, n
 
     def test_around_big_cubes(self):
-        for m in (2 ** 20, 10 ** 40 + 3, 3 ** 300, 7 ** 1000):
+        for m in (2, 3, 2 ** 20, 10 ** 40 + 3, 3 ** 300, 7 ** 1000):
             n = m ** 3
-            assert bounds._icbrt(n - 1) == m - 1
-            assert bounds._icbrt(n) == bounds._icbrt(n + 1) == m
+            assert self.icbrt(n - 1) == m - 1
+            assert self.icbrt(n) == self.icbrt(n + 1) == m
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bounds._icbrt(-1)
+    def test_exact_cubes_through_the_report(self):
+        # 2(vw)^2 is a cube exactly when vw = 2j^3, and then coarse = 2j^2:
+        # (4, 4) has 2 * 16^2 = 8^3 and (6, 9) has 2 * 54^2 = 18^3.
+        k = 10 ** 40 + 1
+        for v, w, m in ((4, 4, 8), (6, 9, 18), (9, 6, 18), (4 * k ** 3, 4 * k ** 3, 8 * k ** 4)):
+            assert bound_report(v, w, 8).values["coarse"] == m
+            assert m ** 3 == 2 * (v * w) ** 2
+            check_girth8_cell(v, w)
 
 
 class TestUnbalancedCap:
@@ -310,21 +321,6 @@ class TestBoundReport:
     def test_rejects_bad_girth(self):
         with pytest.raises(ValueError):
             bound_report(3, 3, 7)
-
-    def test_values_are_the_public_bounds(self):
-        # bound_report checks (v, w) once and calls the unchecked core of
-        # each bound, the core each public function calls after its check.
-        for v in range(1, 31):
-            for w in range(1, 31):
-                assert bound_report(v, w, 6).values == {
-                    "reiman": reiman_max_e(v, w), "coarse": girth6_coarse_bound(v, w),
-                }
-                want = {"reiman": reiman_max_e(v, w), "cubic": cubic_max_e(v, w)}
-                if unbalanced_cap(v, w) is not None:
-                    want["cap"] = unbalanced_cap(v, w)
-                want["coarse"] = girth8_coarse_bound(v, w)
-                got = bound_report(v, w, 8).values
-                assert list(got.items()) == list(want.items())
 
     @pytest.mark.parametrize(
         "bound",

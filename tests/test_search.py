@@ -504,13 +504,22 @@ class TestDeterminismAndBudgets:
         with pytest.raises(ValueError):
             max_size(3, 3, 8, max_nodes=0)
 
+    @pytest.mark.parametrize("call", [max_size, certify_bound])
+    def test_node_budget_must_be_an_integer(self, call):
+        # The search stops when its count equals the budget, so 100.5 would
+        # never stop it: g8 9x9 would run all 1,759,012 nodes.
+        with pytest.raises(ValueError, match="node budget must be an integer, got 100.5"):
+            call(9, 9, 8, max_nodes=100.5)
+        with pytest.raises(ValueError, match="node budget must be an integer"):
+            call(6, 8, 6, max_nodes=100.5)
+
     @pytest.mark.parametrize(
         "call,args,message",
         [
             (max_size, (0, 3, 8), "class sizes must be >= 1, got v=0 w=3"),
             (max_size, (3, 3, 7), "girth target must be 6 or 8, got 7"),
             (certify_bound, (3, 0, 6), "class sizes must be >= 1, got v=3 w=0"),
-            (certify_bound, (3, 3, 7), "girth must be 6 or 8, got 7"),
+            (certify_bound, (3, 3, 7), "girth target must be 6 or 8, got 7"),
         ],
     )
     def test_bounds_checks_sizes_and_girth(self, call, args, message):
