@@ -81,9 +81,10 @@ def unbalanced_cap(v: int, w: int) -> int | None:
 def girth6_coarse_bound(v: int, w: int) -> int:
     """Coarse size bound for graphs without 4-cycles.
 
-    Piecewise: floor(sqrt(2vw(v-1))) when w <= v(v-1)/2, else v(v-1)/2 + w.
-    The statement is orientation-dependent, so both role assignments are
-    evaluated and the smaller value returned.
+    Piecewise in (a, b) = (max(v, w), min(v, w)) and h = b(b-1)/2:
+    a + h when a >= h, else floor(sqrt(2ab(b-1))).  The paper states the
+    bound for either assignment of the classes; this (min, max) one is
+    never the larger (proof in bound_report).
     """
     return bound_report(v, w, 6).values["coarse"]
 
@@ -99,13 +100,6 @@ def girth8_coarse_bound(v: int, w: int) -> int:
     required.
     """
     return bound_report(v, w, 8).values["coarse"]
-
-
-def _girth6_coarse_oriented(v: int, w: int) -> int:
-    half = v * (v - 1) // 2
-    if w <= half:
-        return isqrt(2 * v * w * (v - 1))
-    return half + w
 
 
 def _descend(s: int, t: int, c: int, x: int) -> int:
@@ -188,7 +182,25 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     coarse bound; reiman stays applicable since girth 8 implies girth 6.
     Every bound is computed here, after one check of (v, w) and the girth
     floor; each public single-bound function returns one of these values.
+    The binding bound is the first minimum in METHOD_ORDER at both girths.
     Below, (a, b) = (max(v, w), min(v, w)), p = vw and q = floor(b^2 / 4).
+
+    The coarse rule.  With h = C(b, 2) at girth 6 and h = q at girth 8,
+    the coarse value is a + h when a >= h, the paper's estimate for very
+    unbalanced graphs, and otherwise the root bound: isqrt(4ah) =
+    floor(sqrt(2ab(b-1))) at girth 6, and the largest m with m^3 <= 2p^2
+    at girth 8.  At a = h the branches agree: isqrt(4a^2) = 2a at girth 6,
+    and at girth 8, with b^2 = 4q + c and c in {0, 1},
+    (2q)^3 <= 2p^2 = 8q^3 + 2cq^2 < (2q + 1)^3, so m = 2q = a + q.  The
+    girth-6 bound holds in either class orientation, and the (min, max)
+    one used here is never the larger.  The (max, min) one,
+    floor(sqrt(2ab(a-1))) when b <= C(a, 2), is in that root branch unless
+    a = b <= 2, where the two orientations are the same cell.  In it,
+    2ab(b-1) <= 2ab(a-1) covers a <= h; when a > h and b >= 3,
+    (h + a)^2 < 4a^2 <= 2ab(a-1), and (h + a)^2 <= 2ab(a-1) also holds
+    for b = 1, a >= 2 (a^2 <= 2a(a-1)) and b = 2, a >= 3
+    ((a + 1)^2 <= 4a(a-1)).  At girth 8 the cap, where it applies
+    (a >= q), is the coarse value a + q.
 
     Reiman.  The (min, max) orientation is binding: the positive root of
     X^2 - bX - ba(a-1) already makes O(b, a, .) nonnegative, so only one
@@ -214,7 +226,7 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
       and convex for x >= 0, F'(x) = 3x^2, and the start
       x = 2^ceil(bitlen(c) / 3) has x^3 >= 2^bitlen(c) > c.  So the result
       is the largest m with m^3 <= 2p^2, the coarse girth-8 value, used
-      when a <= q.
+      when a < q.
     - The cubic (s = a + b, t = 2p, c = p^2, x0 = a): F = P(v, w, .) and
       P(x) = x(x - a)(x - b) + p(x - p).  P(a) = p(a - p) <= 0, and on
       [a, oo) P is convex and increasing, with
@@ -222,7 +234,7 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
 
     The cubic starts above r in both branches:
 
-    - When a <= q, at m + 1 for m = floor(t'), t' = (2p^2)^(1/3), the
+    - When a < q, at m + 1 for m = floor(t'), t' = (2p^2)^(1/3), the
       coarse value.  t' >= a, as t'^3 >= a^3 is 2b^2 >= a and
       a <= b^2 / 4.  With t'^3 = 2p^2, P(t') = p^2 + t'(2p - st'), so
       P(t') >= 0 exactly when
@@ -230,37 +242,29 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
       f is concave in a, f(b^2 / 4) = 0, and f(b) = u(sqrt(u) - sqrt(2))^2
       >= 0 with u = b^(2/3) / 2^(1/3).  So f >= 0 on [b, b^2 / 4],
       P(t') >= 0, and t' >= r because P increases on [a, oo): m + 1 > t' >= r.
-    - When a > q, at x = a + 4q + 1 >= a + b^2.  Then x - a >= b^2 and
+    - When a >= q, at x = a + 4q + 1 >= a + b^2.  Then x - a >= b^2 and
       x - b >= a, so x(x - a)(x - b) >= a^2 b^2 = p^2 > p(p - x), and
       P(x) > 0 with x > a: x > r.
-
-    The cap.  Where it applies (a >= q) it is the coarse value itself:
-    for a > q both are a + q, and for a = q, with b^2 = 4q + c and
-    c in {0, 1}, (2q)^3 <= 2p^2 = 8q^3 + 2cq^2 < (2q + 1)^3, so
-    m = 2q = a + q.  At girth 6 one comparison picks the binding bound.
     """
     _require_positive(v, w)
     if girth_target not in (6, 8):
         raise ValueError(f"girth target must be 6 or 8, got {girth_target}")
     a, b = (v, w) if v >= w else (w, v)
-    reiman = (a + isqrt(a * a + 4 * a * b * (b - 1))) // 2
-    if girth_target == 6:
-        coarse = min(_girth6_coarse_oriented(v, w), _girth6_coarse_oriented(w, v))
-        # One comparison; a tie goes to reiman, first in METHOD_ORDER.
-        return BoundReport(
-            v, w, girth_target, {"reiman": reiman, "coarse": coarse},
-            "coarse" if coarse < reiman else "reiman",
-        )
-    p, q = v * w, b * b // 4
-    if a <= q:
+    p = a * b
+    h = b * (b - 1) // 2 if girth_target == 6 else b * b // 4
+    values = {"reiman": (a + isqrt(a * a + 4 * p * (b - 1))) // 2}
+    if a >= h:
+        coarse = a + h
+    elif girth_target == 6:
+        coarse = isqrt(4 * a * h)
+    else:
         c = 2 * p * p
         coarse = _descend(0, 0, c, 1 << -(-c.bit_length() // 3))
-        start = coarse + 1
-    else:
-        coarse, start = a + q, a + 4 * q + 1
-    values = {"reiman": reiman, "cubic": _descend(a + b, 2 * p, p * p, start)}
-    if a >= q:
-        values["cap"] = coarse
+    if girth_target == 8:
+        start = a + 4 * h + 1 if a >= h else coarse + 1
+        values["cubic"] = _descend(a + b, 2 * p, p * p, start)
+        if a >= h:
+            values["cap"] = coarse
     values["coarse"] = coarse
     # ``values`` is filled in METHOD_ORDER, so the first minimum is the
     # binding bound under that tie-break.

@@ -280,7 +280,7 @@ def _cmd_table(args, parser) -> int:
 
     v_range = _parse_range(args.v_range, parser)
     w_range = _parse_range(args.w_range, parser)
-    columns = ("v", "w", "girth", "reiman", "cubic", "cap", "coarse", "search", "gap")
+    columns = ("v", "w", "girth", *bounds.METHOD_ORDER, "search", "gap")
     csv = args.fmt == "csv"
     if csv:
         print(",".join(columns))

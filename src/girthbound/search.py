@@ -221,19 +221,15 @@ def _explore(
         # parameters (degree, growth left, later columns, room): first grow
         # the active column, then open the next one, which finalizes it.
         segments = []
-        if col == 0:
-            # Class V symmetry: column 0 holds rows 0..d-1, so it grows
-            # only by its next row.
-            segments.append(
-                (0, range(last_m + 1, v)[:1], deg + 1, prev - deg - 1, later, room - deg)
-            )
-        elif deg < prev:
+        if deg < prev:
             rows = range(last_m + 1 - col * v, v)
-            if col == 1:
-                # Class V symmetry: column 1 is S | {d, d+1, ...} with S
-                # {0} or empty, so from {0} it grows only by row d, and
-                # from a top row x >= d only by row x + 1.
-                rows = range(max(rows.start, prev), v)[:1]
+            if col < 2:
+                # Class V symmetry: column 0 holds rows 0..d-1, and column 1
+                # is S | {d, d+1, ...} with S {0} or empty, d = deg(column
+                # 0).  So each grows only by the next row above its top row
+                # and at or above d, with d = 0 at column 0: column 1 grows
+                # from {0} by row d, and from a top row x >= d by row x + 1.
+                rows = range(max(rows.start, prev if col else 0), v)[:1]
             segments.append((col, rows, deg + 1, prev - deg - 1, later, room - deg))
         opens = later > 0
         if opens and col >= 1 and deg == prev:
@@ -300,7 +296,8 @@ def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) 
     limit = graphcore.MAX_JSON_CLASS_SIZE  # the witness is built per vertex
     if v > limit or w > limit:
         raise ValueError(f"search takes classes of at most {limit} vertices, got v={v} w={w}")
-    if not isinstance(max_nodes, int):  # the search stops at nodes == max_nodes
+    # The search stops at nodes == max_nodes; a bool is no budget.
+    if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
         raise ValueError(f"node budget must be an integer, got {max_nodes!r}")
     if max_nodes < 1 or not max_seconds > 0:  # NaN fails this test too
         raise ValueError("budgets must be positive")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,30 @@ class TestCoarseBounds:
         # The degree-deficit argument beats the quadratic on (3, 8).
         assert reiman_max_e(3, 8) == 12
         assert girth6_coarse_bound(3, 8) == 11
+
+    def test_girth6_rule_is_the_least_orientation(self):
+        # The paper's estimate, floor(sqrt(2vw(v-1))) when w <= C(v, 2) and
+        # C(v, 2) + w beyond, holds for either assignment of the classes;
+        # the bound is the smaller of the two.
+        def oriented(v, w):
+            half = v * (v - 1) // 2
+            return isqrt(2 * v * w * (v - 1)) if w <= half else half + w
+
+        def least(v, w):
+            return min(oriented(v, w), oriented(w, v))
+
+        rng = random.Random(29)
+        cells = [(v, w) for v in range(1, 61) for w in range(1, 61)]
+        cells += [
+            (rng.randint(1, 10 ** rng.randint(1, 300)), rng.randint(1, 10 ** rng.randint(1, 300)))
+            for _ in range(2000)
+        ]
+        for b in [*range(1, 200), *(rng.randint(2, 10 ** rng.randint(1, 150)) for _ in range(300))]:
+            h = b * (b - 1) // 2  # the branch point, C(b, 2)
+            cells += [(b, a) for a in (h - 1, h, h + 1) if a >= 1]
+        for v, w in cells:
+            assert bound_report(v, w, 6).values["coarse"] == least(v, w), (v, w)
+            assert bound_report(w, v, 6).values["coarse"] == least(v, w), (w, v)
 
 
 class TestBalancedApprox:

@@ -513,6 +513,14 @@ class TestDeterminismAndBudgets:
         with pytest.raises(ValueError, match="node budget must be an integer"):
             call(6, 8, 6, max_nodes=100.5)
 
+    @pytest.mark.parametrize("call", [max_size, certify_bound])
+    def test_node_budget_must_not_be_a_bool(self, call):
+        # bool subclasses int, but True is no budget: it would stop the
+        # search after one node.
+        for budget in (True, False):
+            with pytest.raises(ValueError, match=f"node budget must be an integer, got {budget}"):
+                call(6, 8, 6, max_nodes=budget)
+
     @pytest.mark.parametrize(
         "call,args,message",
         [
