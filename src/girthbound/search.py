@@ -61,14 +61,11 @@ The tree is searched with no more rows than columns: for v > w it runs on
 transposed back.  The certificate, its witness and every error message
 keep the caller's v and w; both orientations cost the same nodes.
 
-A parent tests each child's ceiling before building it.  In one segment
-of children (growing the active column, or opening the next one) the
-ceiling falls as the child's row rises, so once a child cannot beat the
-best graph the rest of the segment cannot either.  Those children are
-still counted as nodes, each with the budget and clock checks a visited
-node gets, but they are never built and never called: they are leaves.
-So the node count is that of the tree that visits each child and prunes
-it on entry.
+A node is a graph the search builds: the empty root, and each child that
+passes the cycle test and whose ceiling can still beat the best graph (in
+one segment of children, growing the active column or opening the next
+one, the ceiling falls as the child's row rises, so the first child cut
+ends the segment).
 
 The node budget, an integer, applies to the whole search, the empty root
 included, and a graph is credited only once its node is counted.  The
@@ -182,33 +179,30 @@ def _explore(
     max_nodes: int,
     deadline: float,
 ) -> tuple[int, tuple[int, ...], int, bool]:
-    """Explore every canonical extension of the single edge (0, 0).
+    """Explore every canonical graph, from the empty root.
 
     Returns (best_e, best_masks, nodes_visited, completed): best_masks are
     the best graph's column masks up to its last nonempty column, at most
     one per edge, and completed is False only when a budget cut the tree.
-    The node (0, 0) itself is counted, and a graph is credited only once its
-    node is: with no node to spend this returns (0, (), 0, False).
+    The root is the first node, and a graph is credited only once its node
+    is counted.
     """
-    if max_nodes == 0:
-        return 0, (), 0, False
     amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
-    amask_w[0] = 1
     # Contraction masks: cmask[x] holds the V-vertices that share a
     # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
     # edge (i, j) sets, and removing it clears, each affected bit with one
-    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).  With
-    # one edge no two V-vertices share a W-neighbour, so they start empty.
+    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).  The
+    # empty graph has no shared neighbours, so they start empty.
     cmask = [0] * v
-    best_e, best_masks = 0, ()  # rec credits the edge (0, 0) when it visits it
-    nodes = 1  # the node (0, 0)
+    best_e, best_masks = 0, ()
+    nodes = 1  # the root
     completed = True
 
-    def rec(last_m: int, e_cur: int, room: int) -> bool:
-        """Expand a counted node; True stops the whole search.  ``room`` is
+    def rec(col: int, top: int, e_cur: int, room: int) -> bool:
+        """Expand a counted node whose active column ``col`` has top row
+        ``top`` (-1 when empty); True stops the whole search.  ``room`` is
         C(v, 2) less the pairs of V-vertices the graph's columns cover."""
         nonlocal nodes, best_e, best_masks, completed
-        col = last_m // v
         if e_cur > best_e:
             best_e = e_cur
             best_masks = tuple(amask_w[: col + 1])
@@ -222,7 +216,7 @@ def _explore(
         # the active column, then open the next one, which finalizes it.
         segments = []
         if deg < prev:
-            rows = range(last_m + 1 - col * v, v)
+            rows = range(top + 1, v)
             if col < 2:
                 # Class V symmetry: column 0 holds rows 0..d-1, and column 1
                 # is S | {d, d+1, ...} with S {0} or empty, d = deg(column
@@ -231,7 +225,7 @@ def _explore(
                 # from {0} by row d, and from a top row x >= d by row x + 1.
                 rows = range(max(rows.start, prev if col else 0), v)[:1]
             segments.append((col, rows, deg + 1, prev - deg - 1, later, room - deg))
-        opens = later > 0
+        opens = later > 0 and deg > 0  # the root opens no column
         if opens and col >= 1 and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
             # not when the previous column's set is lexicographically larger.
@@ -243,13 +237,16 @@ def _explore(
             segments.append((col + 1, rows, 1, deg - 1, later - 1, room))
         e_next = e_cur + 1
         for j, rows, child_deg, grow, after, left in segments:
-            base = j * v
             nbrs = amask_w[j]
             reach = _short_cycle_mask(cmask, nbrs, min_girth)
-            dead = False
             for i in rows:
                 if cmask[i] & reach:
                     continue
+                # The child's ceiling falls as its top row i rises, so the
+                # first child that cannot beat best_e ends the segment.
+                above = v - 1 - i  # the rows left above the child's top row
+                if e_next + _slots(left, child_deg, grow if grow < above else above, after) <= best_e:
+                    break
                 if nodes == max_nodes:
                     completed = False
                     return True
@@ -257,16 +254,6 @@ def _explore(
                 if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
                     completed = False
                     return True
-                if dead:
-                    continue
-                # The child's ceiling falls as its top row i rises, so the
-                # first child that cannot beat best_e ends the segment's
-                # branches: the rest are counted as leaves, never built.
-                above = v - 1 - i  # the rows left above the child's top row
-                ceiling = e_next + _slots(left, child_deg, grow if grow < above else above, after)
-                if ceiling <= best_e:
-                    dead = True
-                    continue
                 ibit = 1 << i
                 amask_w[j] = nbrs | ibit
                 cmask[i] ^= nbrs
@@ -275,7 +262,7 @@ def _explore(
                     low = rest & -rest
                     cmask[low.bit_length() - 1] ^= ibit
                     rest ^= low
-                if rec(base + i, e_next, left):
+                if rec(j, i, e_next, left):
                     return True  # the masks are left dirty: nothing reads them again
                 rest = nbrs
                 while rest:
@@ -286,7 +273,7 @@ def _explore(
                 amask_w[j] = nbrs
         return False
 
-    rec(0, 1, v * (v - 1) // 2)
+    rec(0, -1, 0, v * (v - 1) // 2)
     return best_e, best_masks, nodes, completed
 
 
@@ -299,6 +286,10 @@ def _validate(v: int, w: int, max_nodes: int, max_seconds: float, threads: int) 
     # The search stops at nodes == max_nodes; a bool is no budget.
     if not isinstance(max_nodes, int) or isinstance(max_nodes, bool):
         raise ValueError(f"node budget must be an integer, got {max_nodes!r}")
+    if isinstance(max_seconds, bool):
+        raise ValueError(f"time budget must be a number, got {max_seconds!r}")
+    if isinstance(threads, bool):
+        raise ValueError(f"threads must be an integer, got {threads!r}")
     if max_nodes < 1 or not max_seconds > 0:  # NaN fails this test too
         raise ValueError("budgets must be positive")
     if threads < 1:
@@ -323,10 +314,9 @@ def _search(
     start = time.monotonic()
     flip = v > w  # search the orientation with no more rows than columns
     rows, cols = (w, v) if flip else (v, w)
-    # The empty root is one node; the tree from the edge (0, 0) gets the rest.
     try:
         best_e, best_masks, nodes, exhaustive = _explore(
-            rows, cols, min_girth, cap, max_nodes - 1, start + max_seconds
+            rows, cols, min_girth, cap, max_nodes, start + max_seconds
         )
     except RecursionError:
         raise ValueError(
@@ -350,7 +340,7 @@ def _search(
         e_max=best_e,
         witness=witness,
         exhaustive=exhaustive,
-        nodes_explored=nodes + 1,
+        nodes_explored=nodes,
         elapsed=time.monotonic() - start,
     )
 

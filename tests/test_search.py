@@ -290,7 +290,7 @@ class TestBoundCertification:
         assert max_size(8, 5, 8).optimality == "bound"  # the cubic bound
         assert max_size(8, 3, 8).optimality == "bound"  # the unbalanced cap and coarse bound
         assert max_size(6, 7, 8).optimality == "exhaustive"  # below every bound
-        # The search stops at the least bound, here after 18 nodes.
+        # The search stops at the least bound, here after 11 nodes.
         assert max_size(8, 3, 8, max_nodes=50).optimality == "bound"
         cut = max_size(6, 7, 8, max_nodes=50)
         assert not cut.exhaustive
@@ -318,19 +318,16 @@ class TestDeterminismAndBudgets:
     @pytest.mark.parametrize(
         "v,w,g,nodes",
         [
-            # Without the pair count, and each in its own orientation, these
-            # three take 1,223, 2,220 and 44,907 nodes.
-            (7, 5, 8, 397),
-            (7, 6, 6, 358),
-            (9, 6, 8, 6806),
+            (7, 5, 8, 97),
+            (7, 6, 6, 85),
+            (9, 6, 8, 1334),
             (8, 3, 8, 11),
             (300, 3, 8, 303),
             # The maximum, found under (0, 0), (1, 0), prunes the two later
-            # branches.  Without the pair count the tree takes 2,227 nodes.
-            (6, 8, 6, 364),
-            # Searched as 5x40; in its own orientation it takes 142,958
-            # nodes.
-            (40, 5, 8, 760),
+            # branches.
+            (6, 8, 6, 72),
+            # Searched as 5x40; in its own orientation it takes 7,967 nodes.
+            (40, 5, 8, 196),
         ],
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
@@ -339,16 +336,15 @@ class TestDeterminismAndBudgets:
 
     def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
         # g8 8x7 lies below every bound, so only the completed tree proves
-        # 17; with column 0 free it took 12,217,708 nodes, with only
-        # column 0 fixed 380,176, and without the pair count and the
-        # transposed search 57,206.
+        # 17; with only column 0 fixed the tree takes 56,564 nodes.
         cert = max_size(8, 7, 8)
-        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 46101)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 8236)
         assert cert.optimality == "exhaustive"
 
     def test_g6_9x9_is_proven_within_a_million_nodes(self):
         # 29 lies below the Reiman bound of 30, so only the completed tree
-        # proves it; with only column 0 fixed it took 3,705,156 nodes.
+        # proves it, in 30,636 nodes; with only column 0 fixed it takes
+        # 327,521.
         cert = max_size(9, 9, 6, max_nodes=1_000_000)
         assert (cert.e_max, cert.exhaustive, cert.optimality) == (29, True, "exhaustive")
 
@@ -425,7 +421,7 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize("max_nodes", [1, 2, 5, 9, 10, 50, 1000])
     def test_node_budget_is_global(self, max_nodes):
-        # 6x7 g8 takes 5,141 nodes, so every budget here cuts it, and a cut
+        # 6x7 g8 takes 1,066 nodes, so every budget here cuts it, and a cut
         # search has spent exactly its budget.
         cert = max_size(6, 7, 8, max_nodes=max_nodes)
         assert not cert.exhaustive
@@ -433,29 +429,38 @@ class TestDeterminismAndBudgets:
         assert cert.witness.e == cert.e_max
 
     def test_no_graph_is_credited_before_its_node_is_counted(self, monkeypatch):
-        # Each counted node adds at most one edge to its parent's graph, so
-        # a search that credits only visited graphs has e_max < its nodes.
+        # Each node below the empty root adds one edge to its parent's
+        # graph, so a search that credits only counted graphs has e_max <
+        # its nodes.
         for max_nodes in range(1, 51):
             cert = max_size(6, 7, 8, max_nodes=max_nodes)
             assert cert.e_max < cert.nodes_explored == max_nodes, max_nodes
             assert cert.witness.e == cert.e_max
         # A clock that moves a second per reading: the deadline has passed
         # before the first node, and the search stops at its first clock
-        # check, after the root and 1,024 nodes of the tree, by when the
-        # maximum of 14 has been found (at node 999).
+        # check, after 1,024 nodes, the root included, by when the maximum
+        # of 14 has been found (at node 190).
         clock = iter(range(10 ** 6))
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
         cert = max_size(6, 7, 8, max_seconds=0.5)
-        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (14, 1025, False)
+        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (14, 1024, False)
         assert cert.e_max < cert.nodes_explored
         assert cert.witness.e == cert.e_max
 
-    def test_leaves_counted_by_their_parent_spend_the_budget(self):
-        # g6 6x8 takes 364 nodes, 292 of them leaves that their parent
-        # counts without building.  A budget stops the search at exactly
-        # its size wherever it falls, on such a leaf or on a built node.
+    @pytest.mark.parametrize("v,w,g,e", [(6, 8, 6, 13), (6, 7, 8, 12)])
+    def test_a_node_is_a_graph_the_search_builds(self, monkeypatch, v, w, g, e):
+        # With no slot left every ceiling is its floor, one more edge, so
+        # only a child that beats the best graph is built: the search
+        # follows one greedy path, and counts the root and its edges.
+        monkeypatch.setattr(search, "_slots", lambda *args: 0)
+        cert = max_size(v, w, g)
+        assert (cert.e_max, cert.witness.e, cert.nodes_explored) == (e, e, e + 1)
+
+    def test_every_budget_cuts_the_search_at_its_size(self):
+        # g6 6x8 takes 72 nodes; a smaller budget stops the search at
+        # exactly its size.
         full = max_size(6, 8, 6)
-        assert (full.nodes_explored, full.exhaustive) == (364, True)
+        assert (full.nodes_explored, full.exhaustive) == (72, True)
         for max_nodes in range(1, full.nodes_explored):
             cert = max_size(6, 8, 6, max_nodes=max_nodes)
             assert (cert.nodes_explored, cert.exhaustive) == (max_nodes, False), max_nodes
@@ -466,7 +471,7 @@ class TestDeterminismAndBudgets:
 
     def test_explore_returns_masks_only_up_to_the_last_column_in_use(self):
         # A million columns, of which the best graph after 500 nodes uses
-        # 498: the result holds no mask for the unused rest.
+        # 497: the result holds no mask for the unused rest.
         cap = bounds.bound_report(3, 10 ** 6, 8).binding_value
         best_e, masks, nodes, done = search._explore(3, 10 ** 6, 8, cap, 500, float("inf"))
         assert (nodes, done) == (500, False)
@@ -507,7 +512,7 @@ class TestDeterminismAndBudgets:
     @pytest.mark.parametrize("call", [max_size, certify_bound])
     def test_node_budget_must_be_an_integer(self, call):
         # The search stops when its count equals the budget, so 100.5 would
-        # never stop it: g8 9x9 would run all 1,759,012 nodes.
+        # never stop it: g8 9x9 would run all 246,227 nodes.
         with pytest.raises(ValueError, match="node budget must be an integer, got 100.5"):
             call(9, 9, 8, max_nodes=100.5)
         with pytest.raises(ValueError, match="node budget must be an integer"):
@@ -520,6 +525,15 @@ class TestDeterminismAndBudgets:
         for budget in (True, False):
             with pytest.raises(ValueError, match=f"node budget must be an integer, got {budget}"):
                 call(6, 8, 6, max_nodes=budget)
+
+    @pytest.mark.parametrize("call", [max_size, certify_bound])
+    def test_time_budget_and_threads_must_not_be_bools(self, call):
+        # bool subclasses int, but True is neither a one-second budget nor
+        # one thread.
+        with pytest.raises(ValueError, match="time budget must be a number, got True"):
+            call(4, 4, 8, max_seconds=True)
+        with pytest.raises(ValueError, match="threads must be an integer, got True"):
+            call(4, 4, 8, threads=True)
 
     @pytest.mark.parametrize(
         "call,args,message",
