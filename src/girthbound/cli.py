@@ -123,9 +123,10 @@ def _regular(n: int, d: int) -> tuple[int, int, int]:
 
 # Each construct kind: the name of its builder in constructions, the flags
 # it requires, passed to the builder in this order and named in the summary
-# label, and the member's (v, w, e) as a function of those flags, checked
-# before anything is built.  expand has none: its one flag is the path of
-# the graph to expand, which _load_uncoloured reads and limits in n.
+# label, and the member's (v, w, e) as a function of the builder's
+# arguments, checked before anything is built.  expand's one flag is the
+# path of the graph to expand, which _load_uncoloured reads and limits in
+# n; its size is that of the graph read.
 _CONSTRUCT_KINDS = {
     "grid": (
         "grid_incidence",
@@ -135,7 +136,7 @@ _CONSTRUCT_KINDS = {
     "pg2": ("pg2_incidence", ("q",), lambda q: _regular(q * q + q + 1, q + 1)),
     "wq": ("wq_incidence", ("q",), lambda q: _regular((q + 1) * (q * q + 1), q + 1)),
     "complete": ("complete_bipartite", ("a", "b"), lambda a, b: (a, b, a * b)),
-    "expand": ("expand", ("input",), None),
+    "expand": ("expand", ("input",), lambda g: (g.n, g.e, 2 * g.e)),
     "unbalanced6": ("unbalanced6", ("v", "w"), lambda v, w: (v, w, v * (v - 1) // 2 + w)),
     "unbalanced8": ("unbalanced8", ("v", "w"), lambda v, w: (v, w, v * v // 4 + w)),
 }
@@ -149,13 +150,12 @@ def _cmd_construct(args, parser) -> int:
     if None in values:
         parser.error(f"{args.kind} requires " + " and ".join(f"--{flag}" for flag in flags))
     label = " ".join([args.kind] + [f"{flag}={value}" for flag, value in zip(flags, values)])
-    if size is not None:
-        v, w, e = size(*values)
-        limit = graphcore.MAX_JSON_CLASS_SIZE
-        if max(v, w, e) > limit:
-            raise ValueError(f"{label} has v={v} w={w} e={e}, over the limit {limit}")
-    else:  # expand: its one flag is the path of the graph to expand
+    if args.kind == "expand":
         values = [_load_uncoloured(*values)]
+    v, w, e = size(*values)
+    limit = graphcore.MAX_JSON_CLASS_SIZE
+    if max(v, w, e) > limit:
+        raise ValueError(f"{label} has v={v} w={w} e={e}, over the limit {limit}")
     g = getattr(constructions, builder)(*values)
     with open(args.out, "w") as fh:
         json.dump(graphcore.to_json(g), fh)

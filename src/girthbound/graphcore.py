@@ -5,8 +5,10 @@ indexed independently, with every edge a (V-index, W-index) pair.  Keeping
 the classes index-disjoint by type (rather than offsetting one class) rules
 out colour-confusion bugs in the constructions and the search.
 
-All values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to share across threads.
+All values are immutable after construction: the graphs, like the
+reports, are named tuples, so no field can be reassigned.  Every operation
+is a pure function of its inputs, so everything here is safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ __all__ = [
 MAX_JSON_CLASS_SIZE = 10 ** 6
 
 
-class Graph:
+class Graph(namedtuple("Graph", "n edges")):
     """Uncoloured simple graph on vertices 0..n-1, kept as its sorted edge
     pairs (a, b) with a < b."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ()
 
-    def __init__(self, n: int, pairs) -> None:
+    def __new__(cls, n: int, pairs):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         seen = set()
@@ -58,28 +60,17 @@ class Graph:
             if pair in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add(pair)
-        self.n = n
-        self.edges = tuple(sorted(seen))
+        return super().__new__(cls, n, tuple(sorted(seen)))
 
     @property
     def e(self) -> int:
         return len(self.edges)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, e={self.e})"
 
 
-class BipartiteGraph:
+class BipartiteGraph(namedtuple("BipartiteGraph", "v w edges adj_v adj_w")):
     """Bipartite graph with classes V (size v) and W (size w).
 
     Edges are (i, j) pairs with i a V-index and j a W-index.  Adjacency
@@ -87,9 +78,9 @@ class BipartiteGraph:
     V-vertex i, ``adj_w[j]`` lists V-neighbours of W-vertex j.
     """
 
-    __slots__ = ("v", "w", "edges", "adj_v", "adj_w")
+    __slots__ = ()
 
-    def __init__(self, v: int, w: int, pairs) -> None:
+    def __new__(cls, v: int, w: int, pairs):
         if v < 0 or w < 0:
             raise ValueError(f"class sizes must be nonnegative, got v={v} w={w}")
         seen = set()
@@ -99,16 +90,19 @@ class BipartiteGraph:
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
-        self.v = v
-        self.w = w
-        self.edges = tuple(sorted(seen))
+        edges = tuple(sorted(seen))
         av: list[list[int]] = [[] for _ in range(v)]
         aw: list[list[int]] = [[] for _ in range(w)]
-        for i, j in self.edges:  # sorted edges give ascending lists
+        for i, j in edges:  # sorted edges give ascending lists
             av[i].append(j)
             aw[j].append(i)
-        self.adj_v = tuple(tuple(nb) for nb in av)
-        self.adj_w = tuple(tuple(nb) for nb in aw)
+        return super().__new__(
+            cls, v, w, edges, tuple(map(tuple, av)), tuple(map(tuple, aw))
+        )
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild the graph through __new__'s checks
+        return self.v, self.w, self.edges
 
     @property
     def e(self) -> int:
@@ -124,17 +118,6 @@ class BipartiteGraph:
         """Smallest degree over both classes (0 for an empty class side)."""
         degs = self.degrees_v() + self.degrees_w()
         return min(degs) if degs else 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BipartiteGraph)
-            and self.v == other.v
-            and self.w == other.w
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.v, self.w, self.edges))
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(v={self.v}, w={self.w}, e={self.e})"
@@ -343,16 +326,16 @@ def contract(g: BipartiteGraph) -> Graph:
     above x in the union of the V-lists of x's W-neighbours.  Taking x in
     ascending order and each union sorted gives the sorted, duplicate-free
     edge tuple directly, and pairs drawn from a validated graph cannot fail
-    the checks of ``Graph(n, pairs)``, so the result is filled directly.
+    the checks of ``Graph(n, pairs)``, so the result is built with
+    ``Graph._make``, which skips them.
     """
     adj_w = g.adj_w
-    cg = Graph.__new__(Graph)
-    cg.n, cg.edges = g.v, tuple(
+    edges = tuple(
         (x, z)
         for x, nbrs in enumerate(g.adj_v)
         for z in sorted({z for y in nbrs for z in adj_w[y] if z > x})
     )
-    return cg
+    return Graph._make((g.v, edges))
 
 
 def verify_weak_gq(g: BipartiteGraph) -> bool:

@@ -69,9 +69,11 @@ ends the segment).
 
 The node budget, an integer, applies to the whole search, the empty root
 included, and a graph is credited only once its node is counted.  The
-time budget is an absolute deadline, checked every 1024 nodes.  The tree
-is walked by a recursive function, one call per edge, so a search whose
-graphs outgrow Python's recursion limit raises ValueError.
+time budget is an absolute deadline.  Both budgets are checked before a
+child is counted, the clock only when the count is a multiple of 1024,
+so a search cut by either budget reports exactly the graphs it built.
+The tree is walked by a recursive function, one call per edge, so a
+search whose graphs outgrow Python's recursion limit raises ValueError.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ __all__ = [
 DEFAULT_MAX_NODES = 10 ** 8
 DEFAULT_MAX_SECONDS = 60.0
 
-_TIME_CHECK_MASK = 0x3FF  # poll the clock every 1024 nodes
+_TIME_CHECK_MASK = 0x3FF  # read the clock when the node count is a multiple of 1024
 
 
 class SearchCertificate(
@@ -247,13 +249,12 @@ def _explore(
                 above = v - 1 - i  # the rows left above the child's top row
                 if e_next + _slots(left, child_deg, grow if grow < above else above, after) <= best_e:
                     break
-                if nodes == max_nodes:
+                if nodes == max_nodes or (
+                    nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline
+                ):
                     completed = False
                     return True
                 nodes += 1
-                if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline:
-                    completed = False
-                    return True
                 ibit = 1 << i
                 amask_w[j] = nbrs | ibit
                 cmask[i] ^= nbrs

@@ -223,6 +223,18 @@ class TestConstructVerifyRoundTrip:
         assert code == 2 and err.startswith("error:") and "over the limit" in err
         assert not out.exists()
 
+    def test_oversize_expansion_is_refused(self, capsys, tmp_path, monkeypatch):
+        # K_4 expands to v=4 w=6 e=12: over a limit of 5, as K_1416's
+        # 1,001,820 edges are over the real one, so verify would refuse it.
+        monkeypatch.setattr(graphcore, "MAX_JSON_CLASS_SIZE", 5)
+        src = tmp_path / "k4.json"
+        src.write_text(json.dumps({"n": 4, "edges": [[a, b] for a in range(4) for b in range(a)]}))
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "construct", "expand", "--input", str(src), "--out", str(out))
+        assert code == 2
+        assert err == f"error: expand input={src} has v=4 w=6 e=12, over the limit 5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind,values",
         [
@@ -232,6 +244,7 @@ class TestConstructVerifyRoundTrip:
             ("complete", (1, 1)), ("complete", (2, 5)), ("complete", (4, 3)),
             ("unbalanced6", (1, 0)), ("unbalanced6", (3, 3)), ("unbalanced6", (4, 10)),
             ("unbalanced8", (2, 1)), ("unbalanced8", (4, 4)), ("unbalanced8", (5, 9)),
+            ("expand", (graphcore.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),)),
         ],
     )
     def test_size_matches_the_built_member(self, kind, values):

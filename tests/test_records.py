@@ -1,18 +1,28 @@
-"""The result records are frozen named tuples with fixed fields."""
+"""The result records and the graphs are frozen named tuples with fixed fields."""
+
+import copy
+import pickle
 
 import pytest
 
 from girthbound import bounds, constructions, graphcore, search
 
-# Field names in order, as they were when the records were dataclasses.
+# Field names in order: the records' as they were when they were
+# dataclasses, the graphs' as they were when they were slotted classes.
 FIELDS = {
     bounds.CubicDiagnostics: ("s", "p", "D"),
     bounds.BoundReport: ("v", "w", "girth_target", "values", "binding"),
     graphcore.GirthReport: ("girth", "has_c4", "has_c6"),
+    graphcore.Graph: ("n", "edges"),
+    graphcore.BipartiteGraph: ("v", "w", "edges", "adj_v", "adj_w"),
     search.SearchCertificate: (
         "v", "w", "min_girth", "e_max", "witness", "exhaustive", "nodes_explored", "elapsed",
     ),
 }
+
+
+def graphs():
+    return [graphcore.contract(constructions.wq_incidence(2)), constructions.wq_incidence(2)]
 
 
 def records():
@@ -20,6 +30,7 @@ def records():
         bounds.cubic_discriminant(5, 5),
         bounds.bound_report(10, 4, 8),
         graphcore.girth(constructions.wq_incidence(2)),
+        *graphs(),
         search.max_size(5, 5, 8),
     ]
 
@@ -46,3 +57,11 @@ def test_properties_still_work():
     assert search.max_size(5, 5, 8).optimality == "bound"
     assert search.max_size(6, 7, 8).optimality == "exhaustive"
     assert search.max_size(6, 7, 8, max_nodes=50).optimality == "none"
+
+
+@pytest.mark.parametrize("g", graphs(), ids=lambda g: type(g).__name__)
+def test_graphs_round_trip_through_pickle_and_copy(g):
+    # Pickle and copy rebuild a graph from its constructor's arguments.
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert type(twin) is type(g)
+        assert (twin, hash(twin), repr(twin)) == (g, hash(g), repr(g))

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from functools import cmp_to_key
+from itertools import chain, repeat
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -341,11 +342,11 @@ class TestDeterminismAndBudgets:
         assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 8236)
         assert cert.optimality == "exhaustive"
 
-    def test_g6_9x9_is_proven_within_a_million_nodes(self):
+    def test_g6_9x9_is_proven_within_a_hundred_thousand_nodes(self):
         # 29 lies below the Reiman bound of 30, so only the completed tree
         # proves it, in 30,636 nodes; with only column 0 fixed it takes
-        # 327,521.
-        cert = max_size(9, 9, 6, max_nodes=1_000_000)
+        # 327,521, and this budget stops it at 27 edges.
+        cert = max_size(9, 9, 6, max_nodes=100_000)
         assert (cert.e_max, cert.exhaustive, cert.optimality) == (29, True, "exhaustive")
 
     def test_search_stops_when_its_best_graph_meets_the_bound(self):
@@ -446,6 +447,21 @@ class TestDeterminismAndBudgets:
         assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (14, 1024, False)
         assert cert.e_max < cert.nodes_explored
         assert cert.witness.e == cert.e_max
+
+    @pytest.mark.parametrize("v,w,g", [(6, 8, 6), (6, 7, 8)])
+    def test_a_clock_cut_reports_the_graphs_it_built(self, monkeypatch, v, w, g):
+        # With the clock read before every child, a clock that expires at
+        # its (k + 2)-th reading (the first sets the deadline) cuts the
+        # search after the root and k children, as a node budget of k + 1
+        # does: the same count, best graph and verdict.
+        monkeypatch.setattr(search, "_TIME_CHECK_MASK", 0)
+        for k in range(60):
+            readings = chain([0.0] * (k + 1), repeat(2.0))
+            monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+            cut = max_size(v, w, g, max_seconds=1.0)
+            ref = max_size(v, w, g, max_nodes=k + 1, max_seconds=float("inf"))
+            got = (cut.e_max, cut.witness, cut.nodes_explored, cut.exhaustive)
+            assert got == (ref.e_max, ref.witness, k + 1, False), k
 
     @pytest.mark.parametrize("v,w,g,e", [(6, 8, 6, 13), (6, 7, 8, 12)])
     def test_a_node_is_a_graph_the_search_builds(self, monkeypatch, v, w, g, e):
