@@ -2,7 +2,9 @@
 
 Everything is arbitrary-precision integer arithmetic except the balanced
 approximation, which is documented floating point.  Bound certificates must
-be exact, so no bound value ever passes through a float.
+be exact, so no bound value ever passes through a float; one float picks
+where the exact cube-root descent starts, and an exact evaluation checks
+that start (bound_report).
 
 Notation used throughout: a bipartite graph with classes of sizes v and w
 and e edges.  The girth-6 quadratic is O(v, w, e) = e^2 - w*e - v*w*(v-1);
@@ -102,14 +104,18 @@ def girth8_coarse_bound(v: int, w: int) -> int:
     return bound_report(v, w, 8).values["coarse"]
 
 
-def _descend(s: int, t: int, c: int, x: int) -> int:
+def _descend(s: int, t: int, c: int, x: int, above: int) -> int:
     """Largest integer x with x^3 - s x^2 + t x - c <= 0, by integer Newton
-    steps down from x, an integer above the root (proofs in bound_report)."""
-    while True:
+    steps down from the start x if the cubic is positive there, else from
+    ``above``, an integer proven above the root (proofs in bound_report)."""
+    value = x * (x * (x - s) + t) - c
+    if value <= 0:
+        x = above
         value = x * (x * (x - s) + t) - c
-        if value <= 0:
-            return x
+    while value > 0:
         x -= value // (x * (3 * x - 2 * s) + t) or 1
+        value = x * (x * (x - s) + t) - c
+    return x
 
 
 def balanced_approx(v: int) -> float:
@@ -182,7 +188,8 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     coarse bound; reiman stays applicable since girth 8 implies girth 6.
     Every bound is computed here, after one check of (v, w) and the girth
     floor; each public single-bound function returns one of these values.
-    The binding bound is the first minimum in METHOD_ORDER at both girths.
+    The binding bound is the first minimum in METHOD_ORDER at both girths,
+    found in one pass over ``values``, which is filled in that order.
     Below, (a, b) = (max(v, w), min(v, w)), p = vw and q = floor(b^2 / 4).
 
     The coarse rule.  With h = C(b, 2) at girth 6 and h = q at girth 8,
@@ -220,19 +227,31 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     12x - 4s - 8 - F'(x).  F'(x) >= x^2 in both uses below, so this is
     negative once x >= 12, and at most two unit steps follow.  The loop
     stops at the first x with F(x) <= 0, which is floor(r).  Only
-    integers are involved.
+    integers are involved.  _descend takes a start and a proven start: its
+    first exact evaluation keeps the start only if F is positive there,
+    which puts it above r, and otherwise it begins at the proven start.
 
     - The cube root (s = t = 0, c = 2p^2, x0 = 0): x^3 - c is increasing
-      and convex for x >= 0, F'(x) = 3x^2, and the start
+      and convex for x >= 0, F'(x) = 3x^2, and the proven start
       x = 2^ceil(bitlen(c) / 3) has x^3 >= 2^bitlen(c) > c.  So the result
       is the largest m with m^3 <= 2p^2, the coarse girth-8 value, used
-      when a < q.
+      when a < q.  As c >= 2^(bitlen(c) - 1), that start can lie twice
+      above r, so for p < 2^45 the descent starts at int(f (1 + 2^-40)) + 1
+      instead, with f the float c ** (1/3).  The float only picks the
+      start, which the exact evaluation checks.  Here c < 2^91 converts
+      without overflow, r < 2^31, and f is within a relative 2^-48 of r
+      (from rounding c, 1/3 and pow), so f (1 + 2^-40) lies in
+      (r, r + 2^-8]: the start is floor(r) + 1, or floor(r) + 2 when the
+      fraction of r exceeds 1 - 2^-8, and two exact evaluations end the
+      descent.  A less accurate pow would cost steps, never the result.
     - The cubic (s = a + b, t = 2p, c = p^2, x0 = a): F = P(v, w, .) and
       P(x) = x(x - a)(x - b) + p(x - p).  P(a) = p(a - p) <= 0, and on
       [a, oo) P is convex and increasing, with
       P'(x) = x^2 + 2(x - a)(x - b) >= x^2.
 
-    The cubic starts above r in both branches:
+    The cubic starts above r in both branches, from these proven starts
+    alone (a float start from Cardano's formula took about as long to
+    compute as the Newton steps it saved):
 
     - When a < q, at m + 1 for m = floor(t'), t' = (2p^2)^(1/3), the
       coarse value.  t' >= a, as t'^3 >= a^3 is 2b^2 >= a and
@@ -259,13 +278,17 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
         coarse = isqrt(4 * a * h)
     else:
         c = 2 * p * p
-        coarse = _descend(0, 0, c, 1 << -(-c.bit_length() // 3))
+        above = 1 << -(-c.bit_length() // 3)
+        start = int(c ** (1 / 3) * (1 + 2 ** -40)) + 1 if p < 1 << 45 else above
+        coarse = _descend(0, 0, c, start, above)
     if girth_target == 8:
         start = a + 4 * h + 1 if a >= h else coarse + 1
-        values["cubic"] = _descend(a + b, 2 * p, p * p, start)
+        values["cubic"] = _descend(a + b, 2 * p, p * p, start, start)
         if a >= h:
             values["cap"] = coarse
     values["coarse"] = coarse
-    # ``values`` is filled in METHOD_ORDER, so the first minimum is the
-    # binding bound under that tie-break.
-    return BoundReport(v, w, girth_target, values, min(values, key=values.__getitem__))
+    binding, low = "reiman", values["reiman"]
+    for name, value in values.items():  # in METHOD_ORDER: the first minimum
+        if value < low:
+            binding, low = name, value
+    return BoundReport(v, w, girth_target, values, binding)

@@ -83,15 +83,22 @@ def pg2_incidence(q: int) -> BipartiteGraph:
     duality); incidence is a vanishing dot product.  v = w = q^2 + q + 1,
     all degrees q + 1, girth 6, and the girth-6 quadratic bound is met
     with equality.  Exercised for prime q up to 13.
+
+    Each line's q + 1 points are solved for, not searched: in the order of
+    _points, (1, a, b) is point a*q + b, (0, 1, b) point q^2 + b (row a = q)
+    and (0, 0, 1) point q^2 + q.  That is O(q^3) work, not O(q^4).
     """
-    pts = _points(q, 3)
-    pairs = [
-        (i, j)
-        for j, (l0, l1, l2) in enumerate(pts)
-        for i, (p0, p1, p2) in enumerate(pts)
-        if (p0 * l0 + p1 * l1 + p2 * l2) % q == 0
-    ]
-    return from_edges(len(pts), len(pts), pairs)
+    n = q * q
+    pairs = []
+    for j, (l0, l1, l2) in enumerate(_points(q, 3)):
+        if l2:  # (1, a, -(l0 + l1 a) / l2) for each a, and (0, 1, -l1 / l2)
+            k = -pow(l2, -1, q)
+            line = [a * q + (l0 + l1 * a) * k % q for a in range(q)] + [n + l1 * k % q]
+        else:  # row a = -l0 / l1, or row q when l1 = 0, and (0, 0, 1)
+            a = -l0 * pow(l1, -1, q) % q if l1 else q
+            line = [*range(a * q, a * q + q), n + q]
+        pairs += [(i, j) for i in line]
+    return from_edges(n + q + 1, n + q + 1, pairs)
 
 
 def wq_incidence(q: int) -> BipartiteGraph:

@@ -104,6 +104,12 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "v w edges adj_v adj_w")):
         # pickle and copy rebuild the graph through __new__'s checks
         return self.v, self.w, self.edges
 
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's _make, and _replace through it, would skip __new__'s
+        # checks and keep adjacency that need not match the edges.
+        raise TypeError("build a BipartiteGraph as BipartiteGraph(v, w, edges)")
+
     @property
     def e(self) -> int:
         return len(self.edges)
@@ -152,7 +158,11 @@ def girth(g: BipartiteGraph) -> GirthReport:
     cycle, the vertex opposite it is the first one reached twice, at level
     girth/2.  The least such 2L over the sources is therefore the girth.  A
     source stops at the first level L with 2L at least the best cycle so
-    far.  Memory stays proportional to the largest component, not to v*w.
+    far, and is then retired: later searches treat it as already seen.  Its
+    own search met every cycle through it shorter than the best so far, and
+    the best only falls, so no shorter cycle is lost; a shortest cycle is
+    still met from the first source on it.  Memory stays proportional to
+    the largest component, not to v*w.
     """
     best: int | None = None
     has_c6 = False
@@ -209,8 +219,10 @@ def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int
         nb_v, nb_w = nb_w, nb_v  # sources from the smaller class
     nbs = (nb_v, nb_w)
     best = limit
+    retired = 0  # finished sources: no cycle shorter than best runs through them
     for s in range(len(nb_v)):
-        seen = [1 << s, 0]  # per class: vertices at distance < level
+        # per class: vertices at distance < level, and the retired sources
+        seen = [retired | 1 << s, 0]
         frontier = 1 << s
         level = 1
         while frontier and (best is None or 2 * level < best):
@@ -229,6 +241,7 @@ def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int
             level += 1
         if best == 4:
             break  # even girth cannot drop below 4
+        retired |= 1 << s
     return best if best != limit else None
 
 
@@ -327,7 +340,8 @@ def contract(g: BipartiteGraph) -> Graph:
     ascending order and each union sorted gives the sorted, duplicate-free
     edge tuple directly, and pairs drawn from a validated graph cannot fail
     the checks of ``Graph(n, pairs)``, so the result is built with
-    ``Graph._make``, which skips them.
+    ``Graph._make``, which skips them.  That is safe only because these
+    pairs are checked by construction; ``BipartiteGraph._make`` refuses.
     """
     adj_w = g.adj_w
     edges = tuple(

@@ -145,23 +145,31 @@ class TestCubicMaxE:
 
 class TestIcbrt:
     # The coarse girth-8 bound's cube root: bound_report's Newton descent
-    # with s = t = 0, from 2^ceil(bitlen(n) / 3).
+    # with s = t = 0, from a start x when x^3 > n, else from the proven
+    # start 2^ceil(bitlen(n) / 3).
     @staticmethod
-    def icbrt(n):
-        return bounds._descend(0, 0, n, 1 << -(-n.bit_length() // 3))
+    def icbrt(n, x):
+        return bounds._descend(0, 0, n, x, 1 << -(-n.bit_length() // 3))
+
+    @staticmethod
+    def starts(m):
+        # Below, at and above the root floor m, and far above it.
+        return (0, m - 1, m, m + 1, m + 2, 2 * m + 5)
 
     def test_small_values(self):
         m = 0
         for n in range(20001):
             if (m + 1) ** 3 <= n:
                 m += 1
-            assert self.icbrt(n) == m, n
+            for x in self.starts(m):
+                assert self.icbrt(n, x) == m, (n, x)
 
     def test_around_big_cubes(self):
         for m in (2, 3, 2 ** 20, 10 ** 40 + 3, 3 ** 300, 7 ** 1000):
             n = m ** 3
-            assert self.icbrt(n - 1) == m - 1
-            assert self.icbrt(n) == self.icbrt(n + 1) == m
+            for x in self.starts(m):
+                assert self.icbrt(n - 1, x) == m - 1
+                assert self.icbrt(n, x) == self.icbrt(n + 1, x) == m
 
     def test_exact_cubes_through_the_report(self):
         # 2(vw)^2 is a cube exactly when vw = 2j^3, and then coarse = 2j^2:
@@ -384,28 +392,63 @@ def check_girth8_cell(v, w):
     assert (c, m) == (cubic_max_e(v, w), girth8_coarse_bound(v, w))
 
 
-class TestGirth8Starts:
-    # bound_report inverts the cubic from the coarse value m + 1 when
-    # max <= floor(min^2 / 4), and from max + 4 floor(min^2 / 4) + 1
-    # otherwise; both must lie above the root, where P > 0.
+@pytest.fixture
+def descents(monkeypatch):
+    """The calls bound_report makes to bounds._descend, each as
+    (s, t, c, start, proven start, result)."""
+    calls = []
+    descend = bounds._descend
 
-    def test_starts_lie_above_the_root(self):
+    def record(s, t, c, x, above):
+        calls.append((s, t, c, x, above, descend(s, t, c, x, above)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(bounds, "_descend", record)
+    return calls
+
+
+def check_girth8_starts(descents, v, w):
+    """Check the girth-8 cell (v, w) and where its descents start.
+
+    Both starts of each descent lie above the root, where the cubic F is
+    positive, so no descent falls back.  Upper limits, with r the result:
+    the cube root starts at r + 1 or r + 2 when vw < 2^45, and at most at
+    2(r + 1) from 2^ceil(bitlen(c) / 3) otherwise; the cubic starts at the
+    coarse value m + 1 <= 2^(1/3) (r + 1) + 1 when max < floor(min^2 / 4),
+    and below 3r from max + 4 floor(min^2 / 4) + 1 otherwise."""
+    descents.clear()
+    check_girth8_cell(v, w)
+    a, b = max(v, w), min(v, w)
+    unbalanced = a >= b * b // 4
+    assert descents and all(call[0] for call in descents) == unbalanced
+    for s, t, c, x, above, r in descents:
+        for start in (x, above):
+            assert start * (start * (start - s) + t) - c > 0, (v, w, s, start)
+        if s == 0 and v * w < 2 ** 45:
+            assert r + 1 <= x <= r + 2, (v, w, x, r)
+        elif s == 0:
+            assert x == above <= 2 * (r + 1), (v, w, x, r)
+        elif not unbalanced:
+            assert (x - 1) ** 3 <= 2 * (r + 1) ** 3, (v, w, x, r)
+        else:
+            assert x < 3 * r, (v, w, x, r)
+
+
+class TestGirth8Starts:
+    # bound_report takes the cube root from a float start checked by an
+    # exact evaluation, and inverts the cubic from the coarse value m + 1
+    # when max < floor(min^2 / 4), and from max + 4 floor(min^2 / 4) + 1
+    # otherwise; every start must lie above its root, and not far above.
+
+    def test_starts_lie_above_the_root(self, descents):
         cube_root_branch = 0
         for v in range(1, 301):
             for w in range(1, 301):
-                a, b = max(v, w), min(v, w)
-                q = b * b // 4
-                if a <= q:
-                    m = girth8_coarse_bound(v, w)
-                    assert m ** 3 <= 2 * (v * w) ** 2 < (m + 1) ** 3
-                    assert m + 1 >= a and eval_cubic(v, w, m + 1) > 0, (v, w)
-                    cube_root_branch += 1
-                else:
-                    x = a + 4 * q + 1
-                    assert x >= a and eval_cubic(v, w, x) > 0, (v, w)
+                check_girth8_starts(descents, v, w)
+                cube_root_branch += descents[0][0] == 0
         assert cube_root_branch > 60000
 
-    def test_branch_boundary(self):
+    def test_branch_boundary(self, descents):
         # a = q - 1, q, q + 1 around q = floor(b^2 / 4): the cap applies from
         # a = q on, and the coarse bound leaves the cube root after a = q.
         sizes = [*range(5, 200)]
@@ -414,22 +457,23 @@ class TestGirth8Starts:
         for b in sizes:
             q = b * b // 4
             for a in (q - 1, q, q + 1):
-                check_girth8_cell(a, b)
-                check_girth8_cell(b, a)
+                check_girth8_starts(descents, a, b)
+                check_girth8_starts(descents, b, a)
 
-    def test_random_pairs_in_both_branches(self):
+    def test_random_pairs_in_both_branches(self, descents):
         rng = random.Random(23)
         for _ in range(300):
             b = rng.randint(5, 10 ** rng.randint(1, 150))
             q = b * b // 4
             v, w = rng.randint(b, q), b  # cube-root branch
-            check_girth8_cell(v, w)
-            check_girth8_cell(w, v)
+            check_girth8_starts(descents, v, w)
+            check_girth8_starts(descents, w, v)
             v = rng.randint(q + 1, max(q + 1, 10 ** 300))  # unbalanced branch
-            check_girth8_cell(v, w)
-            check_girth8_cell(w, v)
+            check_girth8_starts(descents, v, w)
+            check_girth8_starts(descents, w, v)
         for _ in range(300):
-            check_girth8_cell(rng.randint(1, 10 ** rng.randint(1, 300)), rng.randint(1, 10 ** rng.randint(1, 300)))
+            v, w = rng.randint(1, 10 ** rng.randint(1, 300)), rng.randint(1, 10 ** rng.randint(1, 300))
+            check_girth8_starts(descents, v, w)
 
 
 class TestSizeCap:

@@ -198,6 +198,19 @@ class TestProjectivePlane:
         assert girth(g).girth == 6
         assert eval_reiman(n, n, g.e) == 0
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+    def test_incidence_is_a_vanishing_dot_product(self, q):
+        # The definition, as the oracle: point i lies on line j exactly when
+        # their coordinate vectors are orthogonal mod q.
+        pts = cn._points(q, 3)
+        want = [
+            (i, j)
+            for i, (p0, p1, p2) in enumerate(pts)
+            for j, (l0, l1, l2) in enumerate(pts)
+            if (p0 * l0 + p1 * l1 + p2 * l2) % q == 0
+        ]
+        assert cn.pg2_incidence(q).edges == tuple(want)
+
     def test_heawood(self):
         g = cn.pg2_incidence(2)
         assert (g.v, g.w, g.e) == (7, 7, 21)

@@ -228,6 +228,38 @@ class TestGirth:
         assert rep == want
         assert peak < 4 * 2 ** 20
 
+    def test_several_cyclic_components_against_the_oracle(self):
+        # Each BFS source retires when it is done, so a component's girth
+        # rests on every earlier source having met the short cycles through
+        # it; sparse girth-6 and girth-8 parts make the searches go deep.
+        rng = random.Random(29)
+        checked = 0
+        while checked < 120:
+            parts = [
+                random_girth_floor(rng, rng.choice((6, 8)), max_side=12)
+                if rng.random() < 0.7
+                else random_bipartite(rng, max_side=12)
+                for _ in range(rng.randint(2, 4))
+            ]
+            if sum(girth_oracle(p) is not None for p in parts) < 2:
+                continue
+            g = disjoint_union(parts)
+            assert girth(g).girth == girth_oracle(g)
+            checked += 1
+
+    @pytest.mark.parametrize("edges", [
+        # The only 4-cycle runs through source 0 (V-vertex 0, in the class
+        # of 4 against 5); a hexagon also passes through it.
+        [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 2), (2, 3), (3, 3), (3, 4), (0, 4)],
+        # Source 0 lies only on a hexagon; the 4-cycle is met from a later
+        # source, after 0 has retired.
+        [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 4)],
+    ])
+    def test_four_cycle_with_a_retired_source(self, edges):
+        g = from_edges(5, 5, edges)
+        assert girth(g) == GirthReport(girth=4, has_c4=True, has_c6=True)
+        assert girth_oracle(g) == 4
+
     def test_girth_even_when_present(self):
         rng = random.Random(17)
         for _ in range(100):
@@ -503,3 +535,13 @@ class TestImmutability:
         g2 = from_edges(4, 4, list(reversed(g1.edges)))
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1 != from_edges(4, 4, list(g1.edges)[:-1])
+
+    def test_replace_and_make_cannot_skip_the_checks(self):
+        # namedtuple's _replace and _make would build a graph whose
+        # adjacency contradicts its edges; both refuse.
+        g = from_edges(2, 2, [(0, 0)])
+        with pytest.raises(TypeError, match=r"BipartiteGraph\(v, w, edges\)"):
+            g._replace(edges=((1, 1),))
+        with pytest.raises(TypeError, match=r"BipartiteGraph\(v, w, edges\)"):
+            BipartiteGraph._make((2, 2, ((1, 1),), ((0,), ()), ((0,), ())))
+        assert g == from_edges(2, 2, [(0, 0)]) and g.adj_v == ((0,), ())
