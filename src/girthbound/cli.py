@@ -31,11 +31,6 @@ def _add_bound_parser(sub) -> None:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--girth", type=int, choices=(6, 8), default=8)
-    p.add_argument(
-        "--method",
-        choices=("all", "reiman", "cubic", "coarse", "cap"),
-        default="all",
-    )
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(func=_cmd_bound)
 
@@ -43,38 +38,20 @@ def _add_bound_parser(sub) -> None:
 def _cmd_bound(args, parser) -> int:
     from . import bounds
 
-    if args.girth == 6 and args.method in ("cubic", "cap"):
-        parser.error(f"method {args.method!r} applies only to girth 8")
     report = bounds.bound_report(args.v, args.w, args.girth)
-    if args.method == "all":
-        values = report.values
-    else:
-        values = {args.method: report.values.get(args.method)}
     if args.as_json:
         payload = {
             "v": args.v,
             "w": args.w,
             "girth": args.girth,
-            "values": {
-                name: (str(val) if val is not None else None)
-                for name, val in values.items()
-            },
+            "values": {name: str(val) for name, val in report.values.items()},
+            "binding": report.binding,
         }
-        if args.method == "all":
-            payload["binding"] = report.binding
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(f"v={args.v} w={args.w} girth={args.girth}")
-    for name in bounds.METHOD_ORDER:
-        if name not in values:
-            continue
-        val = values[name]
-        if val is None:
-            print(f"{name}: n/a")
-        elif args.method == "all" and name == report.binding:
-            print(f"{name}: {val} (binding)")
-        else:
-            print(f"{name}: {val}")
+    for name, val in report.values.items():  # filled in METHOD_ORDER
+        print(f"{name}: {val}" + (" (binding)" if name == report.binding else ""))
     return 0
 
 

@@ -305,24 +305,23 @@ def prune_min_degree(g: BipartiteGraph, k: int) -> tuple[BipartiteGraph, int]:
     compactly.  The fixed point is order-independent, so the order in which
     vertices are deleted is purely cosmetic.  Result has minimal degree >= k
     or is empty.
+
+    A vertex is deleted when its degree first drops below k, and from then
+    on its degree only falls, so it is queued exactly once and the
+    survivors are the vertices whose final degree is at least k.
     """
     if k < 1:
         raise ValueError(f"degree threshold must be >= 1, got {k}")
     adj = (g.adj_v, g.adj_w)  # side 0 is class V, side 1 class W
     deg = [[len(nb) for nb in side] for side in adj]
-    alive = [[True] * g.v, [True] * g.w]
     pending = [(s, x) for s in (0, 1) for x in range(len(adj[s])) if deg[s][x] < k]
-    while pending:
-        s, x = pending.pop()
-        if alive[s][x]:
-            alive[s][x] = False
-            for y in adj[s][x]:
-                if alive[1 - s][y]:
-                    deg[1 - s][y] -= 1
-                    if deg[1 - s][y] < k:
-                        pending.append((1 - s, y))
+    for s, x in pending:  # grows while it is read
+        for y in adj[s][x]:
+            deg[1 - s][y] -= 1
+            if deg[1 - s][y] == k - 1:
+                pending.append((1 - s, y))
     new_i, new_j = (
-        {x: n for n, x in enumerate(x for x, a in enumerate(side) if a)} for side in alive
+        {x: n for n, x in enumerate(x for x, d in enumerate(side) if d >= k)} for side in deg
     )
     kept = [(new_i[i], new_j[j]) for i, j in g.edges if i in new_i and j in new_j]
     residual = BipartiteGraph(len(new_i), len(new_j), kept)
@@ -360,13 +359,13 @@ def verify_weak_gq(g: BipartiteGraph) -> bool:
     one path of length 3.  This needs no girth search.  From a W-vertex j,
     the walks j - x - y - z with y != j and z != x are paths, and there are
     sum over x in N(j) of s_x - d(j)(d(j) - 1) of them, with
-    s_x = sum over y in N(x) of (d(y) - 1).  Two tests per W-vertex j, on
-    neighbour bitmasks, decide the definition:
+    s_x = sum over y in N(x) of (d(y) - 1).  Two tests per W-vertex j
+    decide the definition:
 
+    - *count*: there are v - d(j) walks;
     - *cover*: the union of N(y) over y in N(x) and x in N(j) is all of V.
       That union is N(j) together with the walks' endpoints, so every
-      V-vertex outside N(j) ends some walk;
-    - *count*: there are v - d(j) walks.
+      V-vertex outside N(j) ends some walk.
 
     By pigeonhole the walks then end on distinct vertices, none of them in
     N(j): each non-neighbour of j is joined to j by exactly one path of
@@ -375,18 +374,25 @@ def verify_weak_gq(g: BipartiteGraph) -> bool:
     and a 6-cycle, which would join one of its W-vertices to the opposite
     vertex by two walks.  Conversely, at girth 8 and with one path per
     non-adjacent pair, both tests hold.
+
+    The count needs only the degrees and rejects most graphs, so it runs
+    first at every j.  Only if every count holds are the neighbour bitmasks
+    of the cover test built: they take Theta(v*w) bits.
     """
     if g.min_degree() < 2:  # 0 for an empty class
+        return False
+    dw = g.degrees_w()
+    s = [sum(dw[y] for y in nb) - len(nb) for nb in g.adj_v]
+    if not all(
+        sum(s[x] for x in nb) - len(nb) * (len(nb) - 1) == g.v - len(nb) for nb in g.adj_w
+    ):
         return False
     masks = [sum(1 << x for x in nb) for nb in g.adj_w]
     # The union of N(y) over y in N(x), for each V-vertex x (none is isolated).
     reach = [reduce(or_, map(masks.__getitem__, nb)) for nb in g.adj_v]
-    dw = g.degrees_w()
-    s = [sum(dw[y] for y in nb) - len(nb) for nb in g.adj_v]
     full = (1 << g.v) - 1
     return all(
         reduce(or_, map(reach.__getitem__, nb), masks[j]) == full
-        and sum(s[x] for x in nb) - len(nb) * (len(nb) - 1) == g.v - len(nb)
         for j, nb in enumerate(g.adj_w)
     )
 

@@ -169,6 +169,25 @@ def weak_gq_oracle(g: BipartiteGraph) -> bool:
     return True
 
 
+def k_core_oracle(g: BipartiteGraph, k: int) -> tuple[BipartiteGraph, int]:
+    """prune_min_degree by its definition: delete every vertex of degree < k,
+    recount the degrees among the vertices left, and repeat until none is
+    below k; then reindex the survivors in their order."""
+    keep_v, keep_w = set(range(g.v)), set(range(g.w))
+    while True:
+        edges = [(i, j) for i, j in g.edges if i in keep_v and j in keep_w]
+        low_v = {i for i in keep_v if sum(1 for x, _ in edges if x == i) < k}
+        low_w = {j for j in keep_w if sum(1 for _, y in edges if y == j) < k}
+        if not low_v and not low_w:
+            break
+        keep_v -= low_v
+        keep_w -= low_w
+    new_v = {x: n for n, x in enumerate(sorted(keep_v))}
+    new_w = {y: n for n, y in enumerate(sorted(keep_w))}
+    residual = from_edges(len(new_v), len(new_w), [(new_v[i], new_w[j]) for i, j in edges])
+    return residual, g.e - residual.e
+
+
 def disjoint_union(parts) -> BipartiteGraph:
     """Side-by-side union, each part's classes indexed after the previous ones."""
     v = w = 0

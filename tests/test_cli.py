@@ -101,24 +101,30 @@ class TestGolden:
 
 
 class TestBound:
-    def test_single_method(self, capsys):
-        code, out, _ = run(capsys, "bound", "--v", "7", "--w", "7", "--girth", "6", "--method", "reiman")
+    # bound prints every value of bound_report in METHOD_ORDER: girth 6 has
+    # no cubic and no cap, and a cap is printed where it is defined.
+    def test_girth6_cell(self, capsys):
+        code, out, _ = run(capsys, "bound", "--v", "7", "--w", "7", "--girth", "6")
         assert code == 0
-        assert out == "v=7 w=7 girth=6\nreiman: 21\n"
+        assert out == "v=7 w=7 girth=6\nreiman: 21 (binding)\ncoarse: 24\n"
 
-    def test_cap_absent(self, capsys):
-        code, out, _ = run(capsys, "bound", "--v", "15", "--w", "15", "--method", "cap")
-        assert code == 0 and "cap: n/a" in out
+    def test_cell_with_a_cap(self, capsys):
+        code, out, _ = run(capsys, "bound", "--v", "10", "--w", "4", "--girth", "8")
+        assert code == 0
+        assert out == "v=10 w=4 girth=8\nreiman: 17\ncubic: 15\ncap: 14 (binding)\ncoarse: 14\n"
 
     def test_zero_v_usage_error(self, capsys):
         # bounds owns the value check; main turns its ValueError into exit 2.
         code, _, err = run(capsys, "bound", "--v", "0", "--w", "3")
         assert code == 2 and err == "error: class sizes must be >= 1, got v=0 w=3\n"
 
-    def test_method_girth_conflict(self, capsys):
+    def test_method_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--v", "3", "--w", "3", "--girth", "6", "--method", "cubic"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1 and "Traceback" not in err
+        assert err.endswith("error: unrecognized arguments: --method cubic\n")
 
 
 class TestConstructVerifyRoundTrip:

@@ -149,7 +149,7 @@ def base_commands(tmp_path):
     matrix.write_text(json.dumps(MATRIX))
     out = str(tmp_path / "out.json")
     return [
-        ["bound", "--v", "5", "--w", "4", "--girth", "8", "--method", "cubic", "--json"],
+        ["bound", "--v", "5", "--w", "4", "--girth", "8", "--json"],
         ["construct", "grid", "--t", "2", "--out", out],
         ["construct", "pg2", "--q", "3", "--out", out],
         ["construct", "wq", "--q", "2", "--out", out],

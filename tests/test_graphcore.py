@@ -25,6 +25,7 @@ from helpers import (
     girth_oracle,
     has_c4_oracle,
     has_c6_oracle,
+    k_core_oracle,
     random_bipartite,
     random_biregular,
     random_girth_floor,
@@ -325,6 +326,15 @@ class TestPrune:
             if residual.v + residual.w:
                 assert residual.min_degree() >= k
 
+    def test_matches_the_k_core_oracle(self):
+        # The survivors are read off the final degrees: nothing beyond the
+        # k-core may be deleted, and the reindexing must keep their order.
+        rng = random.Random(43)
+        for _ in range(3000):
+            g = random_bipartite(rng, max_side=9)
+            k = rng.randint(1, 4)
+            assert prune_min_degree(g, k) == k_core_oracle(g, k)
+
 
 class TestContract:
     def test_c8_gives_square(self):
@@ -495,6 +505,20 @@ class TestWeakGQ:
         monkeypatch.setattr(graphcore, "girth", refuse)
         assert verify_weak_gq(wq_incidence(3))
         assert not verify_weak_gq(from_edges(4, 4, [(i, j) for i in range(4) for j in range(4)]))
+
+    def test_count_runs_before_any_bitmask(self):
+        # 2,500 disjoint 8-cycles fail the count at the first W-vertex, so
+        # the cover test's bitmasks, Theta(v*w) bits (over 12 MB here), are
+        # never built.
+        g = disjoint_union([c8()] * 2500)
+        tracemalloc.start()
+        try:
+            verdict = verify_weak_gq(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict is False
+        assert peak < 2 ** 20
 
 
 class TestJson:
