@@ -164,12 +164,11 @@ def _cmd_verify(args, parser) -> int:
     g = graphcore.from_json(_read_json(args.path))
     rep = graphcore.girth(g)
     girth_str = "acyclic" if rep.girth is None else str(rep.girth)
-    flag = lambda b: "yes" if b else "no"
     print(f"graph: v={g.v} w={g.w} e={g.e}")
     print(
         f"degrees: V {_degree_summary(g.degrees_v())}, W {_degree_summary(g.degrees_w())}"
     )
-    print(f"girth: {girth_str} (c4={flag(rep.has_c4)}, c6={flag(rep.has_c6)})")
+    print(f"girth: {girth_str}")
     a, b = min(g.v, g.w), max(g.v, g.w)
     o_val = bounds.eval_reiman(a, b, g.e)
     p_val = bounds.eval_cubic(g.v, g.w, g.e)

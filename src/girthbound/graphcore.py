@@ -129,12 +129,13 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "v w edges adj_v adj_w")):
         return f"BipartiteGraph(v={self.v}, w={self.w}, e={self.e})"
 
 
-class GirthReport(namedtuple("GirthReport", "girth has_c4 has_c6")):
-    """Exact girth plus presence flags for the two short even cycles.
+class GirthReport(namedtuple("GirthReport", "girth")):
+    """Exact girth, None for a forest.
 
-    ``girth`` is None for a forest.  Bipartiteness makes every cycle even,
-    so ``has_c4`` is equivalent to girth 4; ``has_c6`` flags a 6-cycle,
-    which can coexist with girth 4.
+    Bipartiteness makes every cycle even, so the girth alone says which
+    short cycles the paper's bounds exclude: a 4-cycle exists iff the girth
+    is 4, and neither a 4- nor a 6-cycle iff the girth is at least 8 or the
+    graph is acyclic.
     """
 
     __slots__ = ()
@@ -146,7 +147,7 @@ def from_edges(v: int, w: int, pairs) -> BipartiteGraph:
 
 
 def girth(g: BipartiteGraph) -> GirthReport:
-    """Exact girth and short-cycle flags, one connected component at a time.
+    """Exact girth, one connected component at a time.
 
     Components are found in O(v + e); a component with fewer edges than
     vertices is a tree and is skipped.  In every other component the
@@ -165,19 +166,11 @@ def girth(g: BipartiteGraph) -> GirthReport:
     the largest component, not to v*w.
     """
     best: int | None = None
-    has_c6 = False
     for nb_v, nb_w in _cyclic_components(g):
-        # Below girth 8 the flags need to know whether a C6 exists, so look
-        # for cycles under 8 until one is found; otherwise under best.
-        limit = best if has_c6 or best is None or best >= 8 else 8
-        found = _component_girth(nb_v, nb_w, limit)
-        if found is None:
-            continue
-        best = found if best is None else min(best, found)
-        has_c6 = has_c6 or found == 6 or (found == 4 and _contains_c6(nb_v, nb_w))
-        if best == 4 and has_c6:
-            break
-    return GirthReport(girth=best, has_c4=best == 4, has_c6=has_c6)
+        best = _component_girth(nb_v, nb_w, best)
+        if best == 4:
+            break  # even girth cannot drop below 4
+    return GirthReport(girth=best)
 
 
 def _cyclic_components(g: BipartiteGraph):
@@ -213,8 +206,9 @@ def _cyclic_components(g: BipartiteGraph):
         )
 
 
-def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int | None:
-    """Girth of a connected component if it is below ``limit``, else None."""
+def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int:
+    """The lesser of ``limit`` and a cyclic component's girth; a ``limit``
+    of None is no limit."""
     if len(nb_v) > len(nb_w):
         nb_v, nb_w = nb_w, nb_v  # sources from the smaller class
     nbs = (nb_v, nb_w)
@@ -242,7 +236,7 @@ def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int
         if best == 4:
             break  # even girth cannot drop below 4
         retired |= 1 << s
-    return best if best != limit else None
+    return best
 
 
 def _bits(m: int):
@@ -251,21 +245,6 @@ def _bits(m: int):
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
-
-
-def _contains_c6(nb_v: list[int], nb_w: list[int]) -> bool:
-    # Walk x1-y1-x2-y2-x3 on one component's masks, then look for y3
-    # adjacent to both x3 and x1.  Early return makes this cheap on the
-    # dense graphs where C6s abound.
-    for x1, m1 in enumerate(nb_v):
-        for y1 in _bits(m1):
-            for x2 in _bits(nb_w[y1] & ~(1 << x1)):
-                for y2 in _bits(nb_v[x2] & ~(1 << y1)):
-                    used = m1 & ~(1 << y1) & ~(1 << y2)
-                    for x3 in _bits(nb_w[y2] & ~(1 << x1) & ~(1 << x2)):
-                        if nb_v[x3] & used:
-                            return True
-    return False
 
 
 def count_paths3(g: BipartiteGraph) -> int:

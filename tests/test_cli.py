@@ -35,7 +35,7 @@ wrote grid.json
 GOLDEN_VERIFY = """\
 graph: v=15 w=15 e=45
 degrees: V min=3 max=3, W min=3 max=3
-girth: 8 (c4=no, c6=no)
+girth: 8
 O(15,15,45) = -1800
 P(15,15,45) = 0
 paths3: formula=180 enumeration=180

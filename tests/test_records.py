@@ -12,7 +12,7 @@ from girthbound import bounds, constructions, graphcore, search
 FIELDS = {
     bounds.CubicDiagnostics: ("s", "p", "D"),
     bounds.BoundReport: ("v", "w", "girth_target", "values", "binding"),
-    graphcore.GirthReport: ("girth", "has_c4", "has_c6"),
+    graphcore.GirthReport: ("girth",),
     graphcore.Graph: ("n", "edges"),
     graphcore.BipartiteGraph: ("v", "w", "edges", "adj_v", "adj_w"),
     search.SearchCertificate: (
