@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import isqrt
+from operator import add
 
 from .graphcore import BipartiteGraph, Graph, from_edges
 
@@ -112,29 +113,43 @@ def wq_incidence(q: int) -> BipartiteGraph:
 
     Each 2-subspace is built once, from its reduced row-echelon basis
     (r, s): r has its leading 1 at i and a 0 at j > i, s its leading 1 at
-    j.  The form vanishes on the span exactly when it vanishes at (r, s),
-    and the line's q + 1 points s and r + t*s (t = 0..q-1) already have
-    first nonzero entry 1, so they are looked up without normalising.
-    Lines are numbered in the lexicographic order of the sorted indices of
-    their points, which is the order of their two lowest points.
+    j.  The form vanishes on the span exactly when it vanishes at (r, s).
+    The line's points are s and r + t*s (t = 0..q-1), whose indices are
+    computed, not looked up: in the order of _points, a point's index is
+    the count of points with an earlier leading 1 plus its entries after
+    its leading 1 read as a base-q number.  r + t*s has r's entries before
+    j, the digit t at j and the digits (r_k + t*s_k) mod q after it, so its
+    index is r's index with the digits from j on replaced by these.  It
+    keeps r's leading position i < j, so the indices rise with t and all
+    lie below s's.  Lines are numbered in the lexicographic order of the
+    sorted indices of their points, which is the order of their two lowest
+    points.
     """
     pts = _points(q, 4)
-    index = {p: i for i, p in enumerate(pts)}
     by_lead = [[], [], [], []]
-    for p in pts:
-        by_lead[p.index(1)].append(p)
+    for k, p in enumerate(pts):
+        by_lead[p.index(1)].append((k, p))
+    # steps[m][a][b]: the digits (a + t*b) mod q for t = 0..q-1, times q^m
+    steps = [
+        [[[(a + t * b) % q * q**m for t in range(q)] for b in range(q)] for a in range(q)]
+        for m in (0, 1)
+    ]
     lines = []
-    for r in pts:
+    for k, r in enumerate(pts):
+        r0, r1, r2, r3 = r
         for j in range(r.index(1) + 1, 4):
             if r[j]:
                 continue
-            for s in by_lead[j]:
-                if (r[0] * s[1] - r[1] * s[0] + r[2] * s[3] - r[3] * s[2]) % q:
+            w = q ** (3 - j)  # place value of the digit at j
+            head = k - k % (w * q)  # r's index without its digits from j on
+            for ks, s in by_lead[j]:
+                s0, s1, s2, s3 = s
+                if (r0 * s1 - r1 * s0 + r2 * s3 - r3 * s2) % q:
                     continue
-                line = [index[s]]
-                line += (index[tuple((a + t * b) % q for a, b in zip(r, s))] for t in range(q))
-                line.sort()
-                lines.append(line)
+                line = range(head, head + q * w, w)
+                for m in range(3 - j):  # the digit at 3 - m
+                    line = map(add, line, steps[m][r[3 - m]][s[3 - m]])
+                lines.append([*line, ks])
     lines.sort()
     expected = (q + 1) * (q * q + 1)
     if len(lines) != expected:

@@ -147,39 +147,46 @@ def from_edges(v: int, w: int, pairs) -> BipartiteGraph:
 
 
 def girth(g: BipartiteGraph) -> GirthReport:
-    """Exact girth, one connected component at a time.
+    """Exact girth, by one lockstep BFS from many sources per component.
 
     Components are found in O(v + e); a component with fewer edges than
     vertices is a tree and is skipped.  In every other component the
-    vertices get local indices and each one a neighbour bitmask, and a
-    frontier-mask BFS runs from each vertex of the component's smaller
-    class (every cycle meets both classes).  A vertex reached from two
-    frontier vertices at level L ends two shortest paths from the source,
-    so a cycle of length at most 2L exists; from a source on a shortest
-    cycle, the vertex opposite it is the first one reached twice, at level
-    girth/2.  The least such 2L over the sources is therefore the girth.  A
-    source stops at the first level L with 2L at least the best cycle so
-    far, and is then retired: later searches treat it as already seen.  Its
-    own search met every cycle through it shorter than the best so far, and
-    the best only falls, so no shorter cycle is lost; a shortest cycle is
-    still met from the first source on it.  Memory stays proportional to
-    the largest component, not to v*w.
+    vertices of its smaller class are the sources (every cycle meets both
+    classes), and all their searches advance together, one bit per source
+    (a multi-source BFS, as in Then et al., PVLDB 2014).  Each vertex x
+    keeps two masks over the sources: ``seen[x]``, the sources at distance
+    less than the current level L from x, and ``front[x]``, those at
+    distance exactly L.  At level L, each vertex x of that level's class
+    gathers the fronts of its neighbours; a source in two of them and not
+    in ``seen[x]`` has two distinct shortest paths of length L to x, so a
+    cycle of length at most 2L exists.  Conversely, from a source on a
+    shortest cycle, of length g, the vertex opposite it is reached twice
+    at level g/2 and not before.  All sources advance together, so the
+    first level with such a detection is g/2, and the girth is 2L.  The
+    sweep stops there, or once 2L reaches the best girth of an earlier
+    component; a cyclic component always has a detection, so it needs no
+    other stop.
+
+    Cost: at most g/2 levels (fewer when an earlier component is
+    shorter), each O(e) operations on masks as wide as the component's
+    number of sources n_s.  Memory: Theta(n * n_s) bits for a cyclic
+    component of n vertices, one component at a time.
     """
     best: int | None = None
-    for nb_v, nb_w in _cyclic_components(g):
-        best = _component_girth(nb_v, nb_w, best)
+    for adj_v, adj_w in _cyclic_components(g):
+        best = _component_girth(adj_v, adj_w, best)
         if best == 4:
             break  # even girth cannot drop below 4
     return GirthReport(girth=best)
 
 
 def _cyclic_components(g: BipartiteGraph):
-    """Yield (nb_v, nb_w) for each connected component holding a cycle.
+    """Yield (adj_v, adj_w) for each connected component holding a cycle.
 
-    ``nb_v[x]`` is the bitmask of local W-neighbours of the component's
-    x-th V-vertex, ``nb_w[y]`` that of local V-neighbours of its y-th
-    W-vertex.  Every cycle has a V-vertex, so the traversal starts only
-    from V-vertices; one component is held at a time.
+    ``adj_v[x]`` lists the local indices of the W-neighbours of the
+    component's x-th V-vertex, ``adj_w[y]`` those of the V-neighbours of
+    its y-th W-vertex.  Every cycle has a V-vertex, so the traversal starts
+    only from V-vertices; one component is held at a time.
     """
     loc_v = [-1] * g.v  # local index within the component, -1 if unseen
     loc_w = [-1] * g.w
@@ -201,50 +208,35 @@ def _cyclic_components(g: BipartiteGraph):
         if sum(len(g.adj_v[i]) for i in comp_v) < len(comp_v) + len(comp_w):
             continue  # a tree
         yield (
-            [sum(1 << loc_w[j] for j in g.adj_v[i]) for i in comp_v],
-            [sum(1 << loc_v[i] for i in g.adj_w[j]) for j in comp_w],
+            [[loc_w[j] for j in g.adj_v[i]] for i in comp_v],
+            [[loc_v[i] for i in g.adj_w[j]] for j in comp_w],
         )
 
 
-def _component_girth(nb_v: list[int], nb_w: list[int], limit: int | None) -> int:
+def _component_girth(adj_v: list, adj_w: list, limit: int | None) -> int:
     """The lesser of ``limit`` and a cyclic component's girth; a ``limit``
     of None is no limit."""
-    if len(nb_v) > len(nb_w):
-        nb_v, nb_w = nb_w, nb_v  # sources from the smaller class
-    nbs = (nb_v, nb_w)
-    best = limit
-    retired = 0  # finished sources: no cycle shorter than best runs through them
-    for s in range(len(nb_v)):
-        # per class: vertices at distance < level, and the retired sources
-        seen = [retired | 1 << s, 0]
-        frontier = 1 << s
-        level = 1
-        while frontier and (best is None or 2 * level < best):
-            side = level & 1  # class of this level's vertices
-            nb = nbs[1 - side]
+    if len(adj_v) > len(adj_w):
+        adj_v, adj_w = adj_w, adj_v  # sources from the smaller class
+    adj = (adj_v, adj_w)
+    front = [[1 << s for s in range(len(adj_v))], [0] * len(adj_w)]
+    seen = [front[0][:], front[1][:]]  # per class, indexed by local vertex
+    level = 1
+    while limit is None or 2 * level < limit:
+        side = level & 1  # class of this level's vertices
+        prev, fr, sn = front[1 - side], front[side], seen[side]
+        for x, nbrs in enumerate(adj[side]):
             once = twice = 0
-            for u in _bits(frontier):
-                twice |= once & nb[u]
-                once |= nb[u]
-            fresh = ~seen[side]
-            if twice & fresh:
-                best = 2 * level
-                break
-            frontier = once & fresh
-            seen[side] |= frontier
-            level += 1
-        if best == 4:
-            break  # even girth cannot drop below 4
-        retired |= 1 << s
-    return best
-
-
-def _bits(m: int):
-    """Indices of the set bits of m, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
+            for u in nbrs:
+                twice |= once & prev[u]
+                once |= prev[u]
+            s = sn[x]
+            if twice & ~s:
+                return 2 * level
+            fr[x] = f = once & ~s
+            sn[x] = s | f
+        level += 1
+    return limit
 
 
 def count_paths3(g: BipartiteGraph) -> int:

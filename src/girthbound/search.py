@@ -327,7 +327,8 @@ def _search(
     witness = graphcore.from_edges(v, w, [
         (j, i) if flip else (i, j)
         for j, mask in enumerate(best_masks)
-        for i in graphcore._bits(mask)
+        for i in range(rows)
+        if mask >> i & 1
     ])
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:

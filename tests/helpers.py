@@ -199,6 +199,32 @@ def disjoint_union(parts) -> BipartiteGraph:
     return from_edges(v, w, edges)
 
 
+def transpose(g: BipartiteGraph) -> BipartiteGraph:
+    """The same graph with its classes swapped."""
+    return from_edges(g.w, g.v, [(j, i) for i, j in g.edges])
+
+
+def cyclic_component_sizes(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """(V-vertices, W-vertices) of each connected component with a cycle,
+    by union-find over the edges."""
+    parent = list(range(g.v + g.w))  # W-vertex j is node g.v + j
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in g.edges:
+        parent[find(i)] = find(g.v + j)
+    sizes: dict[int, list[int]] = {}
+    for x in range(g.v + g.w):
+        sizes.setdefault(find(x), [0, 0, 0])[x >= g.v] += 1
+    for i, _ in g.edges:
+        sizes[find(i)][2] += 1
+    return [(nv, nw) for nv, nw, e in sizes.values() if e >= nv + nw]
+
+
 def random_tree(rng: random.Random, max_vertices: int = 10) -> BipartiteGraph:
     """Random bipartite tree: each new vertex joins one earlier vertex of the
     other class."""

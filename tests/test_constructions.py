@@ -15,7 +15,7 @@ from girthbound.bounds import (
     unbalanced_cap,
 )
 from girthbound.graphcore import Graph, contract, girth, to_json, verify_weak_gq
-from helpers import random_uncoloured, uncoloured_girth_oracle
+from helpers import random_uncoloured, transpose, uncoloured_girth_oracle
 
 # SHA-256 of the Graph JSON of every family member below, as the point-line
 # classes built them before PG(2, q) and W(q) were enumerated directly, and
@@ -57,6 +57,14 @@ def test_edge_lists_match_the_pinned_hashes():
     assert sorted(pinned) == sorted(name for name, _ in members)
     for name, g in members:
         assert edge_list_hash(g) == pinned[name], name
+
+
+def test_girth_is_the_same_on_the_transpose():
+    # Each component's sources are its smaller class; swapping the classes
+    # swaps which side that is, but not the girth.
+    for name, g in pinned_members():
+        if not isinstance(g, Graph):
+            assert girth(g) == girth(transpose(g)), name
 
 
 def normalize(vec, q):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from girthbound import graphcore
-from girthbound.constructions import complete_bipartite, grid_incidence, wq_incidence
+from girthbound.constructions import complete_bipartite, grid_incidence, unbalanced8, wq_incidence
 from girthbound.graphcore import (
     BipartiteGraph,
     GirthReport,
@@ -22,6 +22,7 @@ from girthbound.graphcore import (
     verify_weak_gq,
 )
 from helpers import (
+    cyclic_component_sizes,
     disjoint_union,
     girth_oracle,
     has_c4_oracle,
@@ -33,6 +34,7 @@ from helpers import (
     random_min_degree2,
     random_tree,
     random_uncoloured,
+    transpose,
     uncoloured_adjacency,
     weak_gq_oracle,
 )
@@ -74,6 +76,16 @@ def random_part(rng: random.Random, side: int) -> BipartiteGraph:
     if kind == 4:
         return random_biregular(rng, max_side=side)
     return skewed(rng, long_side=2 * side, short_side=max(1, side // 3))
+
+
+def cyclic_part(rng: random.Random, v_smaller: bool) -> BipartiteGraph:
+    """A random girth-6 or girth-8 part with a cyclic component whose
+    smaller class is V (v_smaller) or W."""
+    while True:
+        p = random_girth_floor(rng, rng.choice((6, 8)), max_side=8)
+        for nv, nw in cyclic_component_sizes(p):
+            if nv != nw:
+                return p if (nv < nw) == v_smaller else transpose(p)
 
 
 class TestFromEdges:
@@ -238,9 +250,10 @@ class TestGirth:
         assert peak < 4 * 2 ** 20
 
     def test_several_cyclic_components_against_the_oracle(self):
-        # Each BFS source retires when it is done, so a component's girth
-        # rests on every earlier source having met the short cycles through
-        # it; sparse girth-6 and girth-8 parts make the searches go deep.
+        # Each component's sweep stops once twice its level reaches the best
+        # girth of the components before it, so a later, shorter cycle must
+        # still be found under that limit; sparse girth-6 and girth-8 parts
+        # make the sweeps go deep.
         rng = random.Random(29)
         checked = 0
         while checked < 120:
@@ -258,16 +271,39 @@ class TestGirth:
 
     @pytest.mark.parametrize("edges", [
         # The only 4-cycle runs through source 0 (V-vertex 0, in the class
-        # of 4 against 5); a hexagon also passes through it.
+        # of 4 against 5); a hexagon also passes through it, and must not be
+        # what the sweep reports.
         [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 2), (2, 3), (3, 3), (3, 4), (0, 4)],
-        # Source 0 lies only on a hexagon; the 4-cycle is met from a later
-        # source, after 0 has retired.
+        # Source 0 lies only on a hexagon; the 4-cycle runs through other
+        # sources, whose detection at level 2 ends the sweep before source
+        # 0's at level 3.
         [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 4)],
     ])
     def test_four_cycle_with_a_retired_source(self, edges):
         g = from_edges(5, 5, edges)
         assert girth(g) == GirthReport(girth=4)
         assert girth_oracle(g) == 4
+
+    def test_transpose_with_the_source_class_varying_by_component(self):
+        # Each component's sources are its smaller class; every union here
+        # has a cyclic component whose smaller class is V and one whose
+        # smaller class is W, in random order among random other parts.
+        rng = random.Random(31)
+        for _ in range(2000):
+            parts = [cyclic_part(rng, True), cyclic_part(rng, False)]
+            parts += [random_part(rng, 6) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(parts)
+            g = disjoint_union(parts)
+            assert girth(g) == girth(transpose(g)), g.edges
+
+    def test_components_with_opposite_source_classes(self):
+        # unbalanced8(4, 10) (girth 8, sources in V), its transpose (sources
+        # in W), then a hexagon, whose girth 6 must still be found.
+        hexagon = from_edges(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
+        u = unbalanced8(4, 10)
+        g = disjoint_union((u, transpose(u), hexagon))
+        assert girth(g) == girth(transpose(g)) == GirthReport(girth=6)
+        assert girth(u) == girth(transpose(u)) == GirthReport(girth=8)
 
     def test_girth_even_when_present(self):
         rng = random.Random(17)
