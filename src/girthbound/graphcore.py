@@ -62,6 +62,12 @@ class Graph(namedtuple("Graph", "n edges")):
             seen.add(pair)
         return super().__new__(cls, n, tuple(sorted(seen)))
 
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's _make, and _replace through it, would skip __new__'s
+        # range, loop and duplicate checks.
+        raise TypeError("build a Graph as Graph(n, edges)")
+
     @property
     def e(self) -> int:
         return len(self.edges)
@@ -310,8 +316,8 @@ def contract(g: BipartiteGraph) -> Graph:
     ascending order and each union sorted gives the sorted, duplicate-free
     edge tuple directly, and pairs drawn from a validated graph cannot fail
     the checks of ``Graph(n, pairs)``, so the result is built with
-    ``Graph._make``, which skips them.  That is safe only because these
-    pairs are checked by construction; ``BipartiteGraph._make`` refuses.
+    ``tuple.__new__``, which skips them.  That is safe only because these
+    pairs are checked by construction; ``Graph._make`` refuses.
     """
     adj_w = g.adj_w
     edges = tuple(
@@ -319,7 +325,7 @@ def contract(g: BipartiteGraph) -> Graph:
         for x, nbrs in enumerate(g.adj_v)
         for z in sorted({z for y in nbrs for z in adj_w[y] if z > x})
     )
-    return Graph._make((g.v, edges))
+    return tuple.__new__(Graph, (g.v, edges))
 
 
 def verify_weak_gq(g: BipartiteGraph) -> bool:

@@ -5,9 +5,10 @@ m = j*v + i for the pair (i, j)).  The graph is kept once, as the
 V-neighbour bitmask of each W-vertex (column).  A partial graph is extended
 only when the new edge closes no cycle shorter than the floor.  The check
 runs on the paper's contraction of class V (two V-vertices joined when they
-share a W-neighbour), kept as one bitmask per V-vertex: under girth >= 6
-the shared neighbour is unique, so each edge added or removed updates the
-masks by XOR, and a 4- or 6-cycle test is one or two mask intersections.
+share a W-neighbour), one bitmask per V-vertex in a list no node writes to:
+a child copies its parent's list and ORs in the pairs its edge joins (or
+shares it when the edge joins none), so nothing is undone after it, and a
+4- or 6-cycle test is one or two mask intersections.
 The tree is cut by
 
   (a) a ceiling on the edges each node can still reach, from the degree
@@ -190,20 +191,16 @@ def _explore(
     is counted.
     """
     amask_w = [0] * w  # the graph: V-neighbour bitmasks per W-vertex
-    # Contraction masks: cmask[x] holds the V-vertices that share a
-    # W-neighbour with x.  Girth >= 6 makes that neighbour unique, so adding
-    # edge (i, j) sets, and removing it clears, each affected bit with one
-    # XOR: N(j) in cmask[i], and i in cmask[x] for every x in N(j).  The
-    # empty graph has no shared neighbours, so they start empty.
-    cmask = [0] * v
     best_e, best_masks = 0, ()
     nodes = 1  # the root
     completed = True
 
-    def rec(col: int, top: int, e_cur: int, room: int) -> bool:
+    def rec(col: int, top: int, e_cur: int, room: int, cmask: list[int]) -> bool:
         """Expand a counted node whose active column ``col`` has top row
         ``top`` (-1 when empty); True stops the whole search.  ``room`` is
-        C(v, 2) less the pairs of V-vertices the graph's columns cover."""
+        C(v, 2) less the pairs of V-vertices the graph's columns cover.
+        ``cmask`` is the node's contraction, which no call writes to:
+        cmask[x] holds the V-vertices that share a W-neighbour with x."""
         nonlocal nodes, best_e, best_masks, completed
         if e_cur > best_e:
             best_e = e_cur
@@ -228,11 +225,11 @@ def _explore(
                 rows = range(max(rows.start, prev if col else 0), v)[:1]
             segments.append((col, rows, deg + 1, prev - deg - 1, later, room - deg))
         opens = later > 0 and deg > 0  # the root opens no column
-        if opens and col >= 1 and deg == prev:
+        if opens and col and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
             # not when the previous column's set is lexicographically larger.
             diff = amask_w[col - 1] ^ amask_w[col]
-            opens = not diff or bool(amask_w[col - 1] & (diff & -diff))
+            opens = not diff or amask_w[col - 1] & (diff & -diff)
         if opens:
             # Column 1 opens only on row 0 or row d = deg(column 0).
             rows = range(0, v, deg)[:2] if col == 0 else range(v)
@@ -257,24 +254,27 @@ def _explore(
                 nodes += 1
                 ibit = 1 << i
                 amask_w[j] = nbrs | ibit
-                cmask[i] ^= nbrs
-                rest = nbrs
-                while rest:
-                    low = rest & -rest
-                    cmask[low.bit_length() - 1] ^= ibit
-                    rest ^= low
-                if rec(j, i, e_next, left):
-                    return True  # the masks are left dirty: nothing reads them again
-                rest = nbrs
-                while rest:
-                    low = rest & -rest
-                    cmask[low.bit_length() - 1] ^= ibit
-                    rest ^= low
-                cmask[i] ^= nbrs
+                # Edge (i, j) joins i to each x in N(j).  The test above
+                # found cmask[i] & reach == 0 with reach holding N(j), so no
+                # bit of N(j) is in cmask[i]; and i is in no cmask[x] for x
+                # in N(j), since x would then be in cmask[i].  So the child's
+                # contraction only gains bits.  An edge that opens a column
+                # joins nothing, and its child shares the parent's list.
+                child = cmask
+                if nbrs:
+                    child = cmask[:]
+                    child[i] |= nbrs
+                    rest = nbrs
+                    while rest:
+                        low = rest & -rest
+                        child[low.bit_length() - 1] |= ibit
+                        rest ^= low
+                if rec(j, i, e_next, left, child):
+                    return True  # amask_w is left dirty: nothing reads it again
                 amask_w[j] = nbrs
         return False
 
-    rec(0, -1, 0, v * (v - 1) // 2)
+    rec(0, -1, 0, v * (v - 1) // 2, [0] * v)  # the empty graph shares no neighbour
     return best_e, best_masks, nodes, completed
 
 

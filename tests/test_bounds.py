@@ -289,6 +289,12 @@ class TestBalancedApprox:
             assert eval_cubic(v, v, e) >= 0
             assert eval_cubic(v, v, e - Fraction(16, 81)) <= 0
 
+    def test_refuses_sizes_below_one(self):
+        with pytest.raises(ValueError, match="class size must be >= 1, got v=0"):
+            balanced_approx(0)
+        with pytest.raises(ValueError, match="cube root must be >= 1, got k=0"):
+            balanced_approx_at_cube(0)
+
 
 class TestDiscriminant:
     def test_boundary_values(self):

@@ -44,6 +44,15 @@ check equality (weak-gq and P == 0): pass
 check girth == 8: pass
 """
 
+GOLDEN_VERIFY_EMPTY_CLASS = """\
+graph: v=0 w=3 e=0
+degrees: V min=- max=-, W min=0 max=0
+girth: acyclic
+O(0,3,0) = 0
+P(0,3,0) = 0
+paths3: formula=0 enumeration=0
+"""
+
 GOLDEN_TABLE = """\
 v,w,girth,reiman,cubic,cap,coarse,search,gap
 1,1,8,1,1,1,1,,
@@ -86,6 +95,13 @@ class TestGolden:
             capsys, "verify", str(path), "--expect-girth", "8", "--check-equality"
         )
         assert code == 0 and out == GOLDEN_VERIFY
+
+    def test_verify_empty_class(self, capsys, tmp_path):
+        # An empty class has no degrees to report, and no check fails.
+        path = tmp_path / "empty.json"
+        path.write_text('{"v": 0, "w": 3, "edges": []}')
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and out == GOLDEN_VERIFY_EMPTY_CLASS
 
     def test_table_star_row(self, capsys):
         code, out, _ = run(

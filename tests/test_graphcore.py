@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -610,3 +612,25 @@ class TestImmutability:
         with pytest.raises(TypeError, match=r"BipartiteGraph\(v, w, edges\)"):
             BipartiteGraph._make((2, 2, ((1, 1),), ((0,), ()), ((0,), ())))
         assert g == from_edges(2, 2, [(0, 0)]) and g.adj_v == ((0,), ())
+        # A Graph would take edges out of range or a loop, which expand
+        # then misreports as a duplicate edge.
+        h = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(TypeError, match=r"Graph\(n, edges\)"):
+            h._replace(n=1)
+        with pytest.raises(TypeError, match=r"Graph\(n, edges\)"):
+            Graph._make((2, ((1, 1), (0, 5))))
+        assert h == Graph(3, [(1, 2), (0, 1)]) and h.n == 3
+
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            (tuple.__new__(Graph, (2, ((1, 1), (0, 5)))), "loop edge"),
+            (tuple.__new__(BipartiteGraph, (1, 1, ((0, 3),), ((3,),), ((0,),))), "out of range"),
+        ],
+        ids=["Graph", "BipartiteGraph"],
+    )
+    def test_pickle_and_copy_rebuild_through_the_checks(self, forged, message):
+        # A graph forged past its constructor does not survive a rebuild.
+        for rebuild in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+            with pytest.raises(ValueError, match=message):
+                rebuild(forged)

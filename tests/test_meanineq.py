@@ -529,6 +529,11 @@ class TestWeakHypothesisSearch:
         rho, gamma = found
         assert not check(m2, rho, gamma).satisfied
 
+    def test_refuses_a_denominator_below_one(self):
+        m = NonnegMatrix(COUNTEREXAMPLE_1)
+        with pytest.raises(ValueError, match="denominator must be >= 1"):
+            meanineq.find_weak_hypothesis_violation(m, 0)
+
     def test_none_for_safe_matrix(self):
         m = NonnegMatrix([[1, 1], [1, 1]])
         assert meanineq.find_weak_hypothesis_violation(m, denominator=2) is None

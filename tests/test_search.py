@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -333,6 +334,25 @@ class TestDeterminismAndBudgets:
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
         assert max_size(v, w, g).nodes_explored == nodes
+
+    def test_pinned_grid(self):
+        # Every cell with v, w <= 9 at both girths: the total nodes per girth
+        # and a digest of each cell's e_max, node count and witness.  A
+        # pruning or ordering change alters it; update with a reason.
+        rows, nodes = [], {6: 0, 8: 0}
+        for g in (6, 8):
+            for v in range(1, 10):
+                for w in range(1, 10):
+                    cert = max_size(v, w, g)
+                    assert cert.exhaustive, (v, w, g)
+                    nodes[g] += cert.nodes_explored
+                    edges = [list(e) for e in cert.witness.edges]
+                    rows.append([v, w, g, cert.e_max, cert.nodes_explored, edges])
+        assert nodes == {6: 147_486, 8: 417_982}
+        digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode())
+        assert digest.hexdigest() == (
+            "bf2c4a6961615bbedc788d8491fadf2cb1a13b2832dd0ca869c94e23a59f4d72"
+        )
 
     def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
         # g8 8x7 lies below every bound, so only the completed tree proves
