@@ -49,7 +49,7 @@ def expand(g: Graph) -> BipartiteGraph:
     Every W-vertex gets degree exactly 2 (its two endpoints), so the size
     doubles and so does the girth (the expansion is the edge subdivision).
     """
-    return _expand_with_pendants(g.n, g.edges, g.e)
+    return from_edges(g.n, g.e, _expansion_pairs(g.edges, g.e))
 
 
 def grid_incidence(t: int) -> BipartiteGraph:
@@ -160,12 +160,12 @@ def wq_incidence(q: int) -> BipartiteGraph:
     return from_edges(len(pts), len(lines), pairs)
 
 
-def _expand_with_pendants(n: int, edges, w: int) -> BipartiteGraph:
-    """Expansion of the sorted edge list ``edges`` on n vertices (W-vertex k
+def _expansion_pairs(edges, w: int) -> list[tuple[int, int]]:
+    """Edges of the expansion of the sorted edge list ``edges`` (W-vertex k
     is edge k), padded up to w W-vertices with pendants on V-vertex 0."""
     pairs = [(x, k) for k, edge in enumerate(edges) for x in edge]
     pairs += [(0, k) for k in range(len(edges), w)]
-    return from_edges(n, w, pairs)
+    return pairs
 
 
 def unbalanced6(v: int, w: int) -> BipartiteGraph:
@@ -175,12 +175,17 @@ def unbalanced6(v: int, w: int) -> BipartiteGraph:
     girth-6 bound's second alternative with equality; girth 6 for v >= 3.
     Pendants all attach to V-vertex 0 for reproducibility.
     """
+    return from_edges(v, w, _unbalanced6_pairs(v, w))
+
+
+def _unbalanced6_pairs(v: int, w: int) -> list[tuple[int, int]]:
+    """The edges of unbalanced6(v, w), after its checks."""
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     core = v * (v - 1) // 2
     if w < core:
         raise ValueError(f"w must be >= v(v-1)/2 = {core}, got {w}")
-    return _expand_with_pendants(v, list(combinations(range(v), 2)), w)
+    return _expansion_pairs(list(combinations(range(v), 2)), w)
 
 
 def unbalanced8(v: int, w: int) -> BipartiteGraph:
@@ -193,10 +198,15 @@ def unbalanced8(v: int, w: int) -> BipartiteGraph:
     floor(v^2/4) + w, meeting the coarse girth-8 bound (and the unbalanced
     cap when defined) with equality; girth 8 for v >= 4.
     """
+    return from_edges(v, w, _unbalanced8_pairs(v, w))
+
+
+def _unbalanced8_pairs(v: int, w: int) -> list[tuple[int, int]]:
+    """The edges of unbalanced8(v, w), after its checks."""
     if v < 2:
         raise ValueError(f"v must be >= 2, got {v}")
     core = v * v // 4
     if w < core:
         raise ValueError(f"w must be >= floor(v^2/4) = {core}, got {w}")
     upper = (v + 1) // 2
-    return _expand_with_pendants(v, list(product(range(upper), range(upper, v))), w)
+    return _expansion_pairs(list(product(range(upper), range(upper, v))), w)

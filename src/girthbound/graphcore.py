@@ -89,19 +89,23 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "v w edges adj_v adj_w")):
     def __new__(cls, v: int, w: int, pairs):
         if v < 0 or w < 0:
             raise ValueError(f"class sizes must be nonnegative, got v={v} w={w}")
-        seen = set()
+        # O(v + w + e): bucket the pairs by V-vertex and sort each row's
+        # W-indices, instead of sorting the pairs.  A bad pair sends the
+        # input through _reject, which raises on the first one in input order.
+        pairs = list(pairs)
+        av: list[list[int]] = [[] for _ in range(v)]
         for i, j in pairs:
             if not (0 <= i < v and 0 <= j < w):
-                raise ValueError(f"edge ({i}, {j}) out of range for v={v}, w={w}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-        edges = tuple(sorted(seen))
-        av: list[list[int]] = [[] for _ in range(v)]
-        aw: list[list[int]] = [[] for _ in range(w)]
-        for i, j in edges:  # sorted edges give ascending lists
+                _reject(v, w, pairs)
             av[i].append(j)
-            aw[j].append(i)
+        aw: list[list[int]] = [[] for _ in range(w)]
+        for i, row in enumerate(av):
+            row.sort()
+            if len(set(row)) < len(row):
+                _reject(v, w, pairs)
+            for j in row:  # ascending rows i give ascending lists
+                aw[j].append(i)
+        edges = tuple([(i, j) for i, row in enumerate(av) for j in row])
         return super().__new__(
             cls, v, w, edges, tuple(map(tuple, av)), tuple(map(tuple, aw))
         )
@@ -133,6 +137,18 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "v w edges adj_v adj_w")):
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(v={self.v}, w={self.w}, e={self.e})"
+
+
+def _reject(v: int, w: int, pairs: list) -> None:
+    """Raise ValueError on the first pair of ``pairs`` that is out of range
+    or repeats an earlier one."""
+    seen = set()
+    for i, j in pairs:
+        if not (0 <= i < v and 0 <= j < w):
+            raise ValueError(f"edge ({i}, {j}) out of range for v={v}, w={w}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
 
 
 class GirthReport(namedtuple("GirthReport", "girth")):

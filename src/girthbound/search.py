@@ -1,5 +1,15 @@
 """Exhaustive maximum-size search for bipartite graphs under a girth floor.
 
+max_size first tries the paper's optimal estimate for very unbalanced
+graphs.  With (a, b) = (max(v, w), min(v, w)) and h = C(b, 2) at girth 6,
+h = floor(b^2 / 4) at girth 8, a cell with a >= h is proven with no search:
+unbalanced6(b, a) at girth 6 (and at girth 8 for b = 1, a star), or
+unbalanced8(b, a) at girth 8, in the caller's orientation, has exactly
+the least bound bounds.bound_report proves, a + h edges, and girth at
+least the floor.  Both are checked on the witness (a failure is an internal
+RuntimeError); its certificate is exhaustive with 0 nodes.  Every other
+cell, and every cell certify_bound is asked about, is searched as below.
+
 Depth-first edge addition in a fixed column-major edge order (edge index
 m = j*v + i for the pair (i, j)).  The graph is kept once, as the
 V-neighbour bitmask of each W-vertex (column).  A partial graph is extended
@@ -54,8 +64,8 @@ graph, and its one child is the single edge (0, 0), since canonical form
 puts the first edge in column 0 and column 0 on a prefix of the rows.  A
 branch is pruned only when it cannot strictly beat the best graph so far,
 so the witness is the first graph in edge order that reaches the maximum.
-``exhaustive`` means the maximum is proven, by the completed tree or by the
-bound of (b).
+``exhaustive`` means the maximum is proven, by the completed tree, by the
+bound of (b), or by a construction that meets that bound (above).
 
 The tree is searched with no more rows than columns: for v > w it runs on
 (w, v), since the maximum of (v, w) is that of (w, v), and its witness is
@@ -112,8 +122,10 @@ class SearchCertificate(
     ``witness``, a BipartiteGraph, achieves ``e_max`` at girth >=
     ``min_girth`` (re-verified through graphcore.girth, independently of
     the incremental check used while searching).  ``exhaustive`` is True
-    when ``e_max`` is proven maximum within budget: the tree completed, or
-    the search stopped because the witness meets a proven size bound.
+    when ``e_max`` is proven maximum within budget: the tree completed, the
+    search stopped because the witness meets a proven size bound, or the
+    witness is an unbalanced family member that meets it, built with no
+    search (``nodes_explored`` 0).
     """
 
     __slots__ = ()
@@ -121,9 +133,10 @@ class SearchCertificate(
     @property
     def optimality(self) -> str:
         """What proves ``e_max`` maximum: ``"bound"`` when it equals the
-        least bound bounds.bound_report proves (the search stops there),
-        ``"exhaustive"`` when only the completed tree does, ``"none"`` when
-        the search was cut."""
+        least bound bounds.bound_report proves (the search stops there, and
+        the unbalanced family meets it with no search), ``"exhaustive"``
+        when only the completed tree does, ``"none"`` when the search was
+        cut."""
         if self.e_max == bounds.bound_report(self.v, self.w, self.min_girth).binding_value:
             return "bound"
         return "exhaustive" if self.exhaustive else "none"
@@ -238,13 +251,22 @@ def _explore(
         for j, rows, child_deg, grow, after, left in segments:
             nbrs = amask_w[j]
             reach = _short_cycle_mask(cmask, nbrs, min_girth)
+            ceiling = None
             for i in rows:
                 if cmask[i] & reach:
                     continue
                 # The child's ceiling falls as its top row i rises, so the
-                # first child that cannot beat best_e ends the segment.
+                # first child that cannot beat best_e ends the segment.  It
+                # is the same for every child with at least ``grow`` rows
+                # above it, so it is computed once, at the first child that
+                # passes the cycle test (``left`` may be negative, and
+                # _slots divide by zero, in a segment where none passes).
                 above = v - 1 - i  # the rows left above the child's top row
-                if e_next + _slots(left, child_deg, grow if grow < above else above, after) <= best_e:
+                if above < grow:
+                    ceiling = e_next + _slots(left, child_deg, above, after)
+                elif ceiling is None:
+                    ceiling = e_next + _slots(left, child_deg, grow, after)
+                if ceiling <= best_e:
                     break
                 if nodes == max_nodes or (
                     nodes & _TIME_CHECK_MASK == 0 and time.monotonic() > deadline
@@ -324,12 +346,27 @@ def _search(
             f"search on v={v} w={w} recurses once per edge, past Python's"
             f" recursion limit of {sys.getrecursionlimit()}"
         ) from None
-    witness = graphcore.from_edges(v, w, [
+    pairs = [
         (j, i) if flip else (i, j)
         for j, mask in enumerate(best_masks)
         for i in range(rows)
         if mask >> i & 1
-    ])
+    ]
+    return _certificate(v, w, min_girth, pairs, exhaustive, nodes, start)
+
+
+def _certificate(
+    v: int,
+    w: int,
+    min_girth: int,
+    pairs: list[tuple[int, int]],
+    exhaustive: bool,
+    nodes: int,
+    start: float,
+) -> SearchCertificate:
+    """The certificate whose witness has the edges ``pairs``, after
+    graphcore.girth has checked the witness against the floor."""
+    witness = graphcore.from_edges(v, w, pairs)
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:
         raise RuntimeError(
@@ -339,7 +376,7 @@ def _search(
         v=v,
         w=w,
         min_girth=min_girth,
-        e_max=best_e,
+        e_max=witness.e,
         witness=witness,
         exhaustive=exhaustive,
         nodes_explored=nodes,
@@ -358,14 +395,34 @@ def max_size(
     """Maximum number of edges of a bipartite graph on (v, w) vertices with
     girth >= min_girth, with a witness and an exhaustiveness certificate.
 
-    Exhaustive completion is guaranteed under default budgets for
-    v*w <= 64.  On budget exhaustion the certificate carries the best
-    graph found so far with ``exhaustive=False``.  ``threads`` must be at
-    least 1 and changes nothing: the search runs in the calling process.
+    A cell in the unbalanced regime (module docstring) is proven by its
+    construction, with no search and no budget spent.  Exhaustive
+    completion is guaranteed under default budgets for v*w <= 64.  On
+    budget exhaustion the certificate carries the best graph found so far
+    with ``exhaustive=False``.  ``threads`` must be at least 1 and changes
+    nothing: the search runs in the calling process.
     """
     _validate(v, w, max_nodes, max_seconds, threads)
     cap = bounds.bound_report(v, w, min_girth).binding_value
-    return _search(v, w, min_girth, cap, max_nodes, max_seconds)
+    a, b = max(v, w), min(v, w)
+    if a < (b * (b - 1) // 2 if min_girth == 6 else b * b // 4):
+        return _search(v, w, min_girth, cap, max_nodes, max_seconds)
+    # The unbalanced regime: the family member has exactly ``cap`` edges.
+    from . import constructions
+
+    start = time.monotonic()
+    if min_girth == 8 and b >= 2:
+        pairs = constructions._unbalanced8_pairs(b, a)
+    else:  # girth 6, or a star
+        pairs = constructions._unbalanced6_pairs(b, a)
+    if v > w:
+        pairs = [(j, i) for i, j in pairs]
+    cert = _certificate(v, w, min_girth, pairs, True, 0, start)
+    if cert.e_max != cap:
+        raise RuntimeError(
+            f"internal error: construction has {cert.e_max} edges, not the bound {cap}"
+        )
+    return cert
 
 
 def certify_bound(

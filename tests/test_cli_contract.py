@@ -304,12 +304,13 @@ def test_a_numerator_past_the_digit_limit_is_an_input_error(capsys, tmp_path, wh
 
 @pytest.mark.parametrize(
     "argv",
-    [["--v", "1000", "--w", "3"], ["--v", "3", "--w", "1000", "--girth", "6"]],
+    [["--v", "1000", "--w", "64"], ["--v", "60", "--w", "1000", "--girth", "6"]],
     ids=["tall", "wide"],
 )
 def test_search_deeper_than_the_recursion_limit(capsys, argv):
     # The search recurses once per edge; past the recursion limit it is an
-    # input error that names the classes and the limit.
+    # input error that names the classes and the limit.  Both cells lie
+    # below the unbalanced regime, which max_size proves with no search.
     code, out, err, usage = invoke(capsys, ["search", *argv])
     assert (code, out, usage) == (2, "", False)
     assert "Traceback" not in err and err.count("\n") == 1

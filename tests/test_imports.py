@@ -88,9 +88,11 @@ def files(tmp_path):
         (["bound", "--v", "7", "--w", "7"], ["bounds"]),
         (["bound", "--v", "0", "--w", "3"], ["bounds"]),
         (["table", "--v-range", "3:4", "--w-range", "3:4"], ["bounds"]),
+        # g8 4x4 and the table's cells lie in the unbalanced regime, which
+        # max_size proves with a construction.
         (["table", "--v-range", "3:4", "--w-range", "3:4", "--with-search"],
-         ["bounds", "graphcore", "search"]),
-        (["search", "--v", "4", "--w", "4"], ["bounds", "graphcore", "search"]),
+         ["bounds", "constructions", "graphcore", "search"]),
+        (["search", "--v", "4", "--w", "4"], ["bounds", "constructions", "graphcore", "search"]),
         (["construct", "expand", "--input", "k3.json", "--out", "x.json"],
          ["constructions", "graphcore"]),
         (["verify", "c6.json"], ["bounds", "graphcore"]),

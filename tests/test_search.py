@@ -18,6 +18,8 @@ from helpers import forbid_processes, short_path_exists
 
 # e_max and witness edges for every (v, w) with v*w <= 30 at girths 6 and 8,
 # as the search returned them before it stopped at the least proven bound.
+# Cells in the unbalanced regime hold the family member max_size returns
+# there; at girth 6 it is the graph the search used to return.
 CERTIFICATES = Path(__file__).parent / "data" / "certificates.json"
 
 
@@ -265,6 +267,57 @@ class TestSymmetryAndMonotonicity:
             assert second >> d == (1 << k) - 1, case
 
 
+class TestUnbalancedRegime:
+    """With (a, b) = (max(v, w), min(v, w)) and h = C(b, 2) at girth 6,
+    floor(b^2 / 4) at girth 8: when a >= h, max_size returns the family
+    member (unbalanced6, or unbalanced8 at girth 8 for b >= 2), which meets
+    the least proven bound, and searches nothing."""
+
+    def test_every_regime_cell_is_proven_by_its_construction(self, monkeypatch):
+        # Every cell with b <= 12 and a <= 150, in both orientations.  Each
+        # witness passes through graphcore.girth once, inside max_size; the
+        # spy keeps that report, so the BFS does not run twice.
+        reports = []
+
+        def spy(g):
+            reports.append((g, girth(g)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(graphcore, "girth", spy)
+        for g in (6, 8):
+            for b in range(1, 13):
+                h = comb(b, 2) if g == 6 else b * b // 4
+                for a in range(max(b, h), 151):
+                    for v, w in {(a, b), (b, a)}:
+                        cert = max_size(v, w, g)
+                        bound = bounds.bound_report(v, w, g).binding_value
+                        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (
+                            bound, True, 0
+                        ), (v, w, g)
+                        witness, report = reports.pop()
+                        assert witness is cert.witness
+                        assert (witness.v, witness.w, witness.e) == (v, w, bound)
+                        assert report.girth is None or report.girth >= g, (v, w, g)
+
+    def test_a_construction_off_the_bound_or_the_floor_is_an_internal_error(self, monkeypatch):
+        from girthbound import constructions
+
+        # g6 3x2: b = 2, h = 1, and the bound is a + h = 4.
+        monkeypatch.setattr(constructions, "_unbalanced6_pairs", lambda v, w: [(0, 0)])
+        with pytest.raises(RuntimeError, match="construction has 1 edges, not the bound 4"):
+            max_size(3, 2, 6)
+        square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        monkeypatch.setattr(constructions, "_unbalanced6_pairs", lambda v, w: square)
+        with pytest.raises(RuntimeError, match="witness girth 4 below floor 6"):
+            max_size(2, 2, 6)
+
+    def test_the_largest_regime_cells_take_no_search(self):
+        # Each was past the recursion limit, or past a second, as a search.
+        for v, w, g, e in ((1000, 3, 8, 1002), (3, 1000, 8, 1002), (20000, 2, 6, 20001)):
+            cert = max_size(v, w, g, max_nodes=1)
+            assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (e, True, 0)
+
+
 class TestBoundCertification:
     def test_examples(self):
         assert certify_bound(5, 5, 8)
@@ -333,25 +386,62 @@ class TestDeterminismAndBudgets:
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
-        assert max_size(v, w, g).nodes_explored == nodes
+        # max_size proves 7x5, 9x6, 8x3, 300x3 and 40x5 by construction
+        # with no tree, so the kernel is pinned through the search it runs
+        # on every other cell, stopped at the same least proven bound.
+        cap = bounds.bound_report(v, w, g).binding_value
+        cert = search._search(v, w, g, cap, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS)
+        assert cert.nodes_explored == nodes
+
+    # e_max of every cell with v, w <= 9: row v, column w.
+    GRID_E_MAX = {
+        6: (
+            (1, 2, 3, 4, 5, 6, 7, 8, 9),
+            (2, 3, 4, 5, 6, 7, 8, 9, 10),
+            (3, 4, 6, 7, 8, 9, 10, 11, 12),
+            (4, 5, 7, 9, 10, 12, 13, 14, 15),
+            (5, 6, 8, 10, 12, 14, 15, 17, 18),
+            (6, 7, 9, 12, 14, 16, 18, 19, 21),
+            (7, 8, 10, 13, 15, 18, 21, 22, 24),
+            (8, 9, 11, 14, 17, 19, 22, 24, 26),
+            (9, 10, 12, 15, 18, 21, 24, 26, 29),
+        ),
+        8: (
+            (1, 2, 3, 4, 5, 6, 7, 8, 9),
+            (2, 3, 4, 5, 6, 7, 8, 9, 10),
+            (3, 4, 5, 6, 7, 8, 9, 10, 11),
+            (4, 5, 6, 8, 9, 10, 11, 12, 13),
+            (5, 6, 7, 9, 10, 12, 13, 14, 15),
+            (6, 7, 8, 10, 12, 13, 14, 16, 18),
+            (7, 8, 9, 11, 13, 14, 16, 17, 19),
+            (8, 9, 10, 12, 14, 16, 17, 19, 20),
+            (9, 10, 11, 13, 15, 18, 19, 20, 22),
+        ),
+    }
 
     def test_pinned_grid(self):
         # Every cell with v, w <= 9 at both girths: the total nodes per girth
         # and a digest of each cell's e_max, node count and witness.  A
-        # pruning or ordering change alters it; update with a reason.
+        # pruning or ordering change alters it; update with a reason.  The
+        # cells with max(v, w) >= h (the unbalanced regime) take 0 nodes and
+        # hold the family member; the others are the kernel's trees.  No
+        # such change may alter an e_max, so GRID_E_MAX pins them apart.
         rows, nodes = [], {6: 0, 8: 0}
+        e_max = {6: [], 8: []}
         for g in (6, 8):
             for v in range(1, 10):
                 for w in range(1, 10):
                     cert = max_size(v, w, g)
                     assert cert.exhaustive, (v, w, g)
                     nodes[g] += cert.nodes_explored
+                    e_max[g].append(cert.e_max)
                     edges = [list(e) for e in cert.witness.edges]
                     rows.append([v, w, g, cert.e_max, cert.nodes_explored, edges])
-        assert nodes == {6: 147_486, 8: 417_982}
+        assert e_max == {g: list(chain(*table)) for g, table in self.GRID_E_MAX.items()}
+        assert nodes == {6: 146_693, 8: 413_838}
         digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode())
         assert digest.hexdigest() == (
-            "bf2c4a6961615bbedc788d8491fadf2cb1a13b2832dd0ca869c94e23a59f4d72"
+            "b07b891be1a788e08d2d2e0f7223904cab052f0baade13f6ea25cf1eba4fae26"
         )
 
     def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
@@ -369,14 +459,14 @@ class TestDeterminismAndBudgets:
         assert (cert.e_max, cert.exhaustive, cert.optimality) == (29, True, "exhaustive")
 
     def test_search_stops_when_its_best_graph_meets_the_bound(self):
-        # g8 8x3 reaches its bound of 10 at its 11th node and stops there,
-        # proven; a budget one node short leaves it cut at 9 edges.
-        assert bounds.bound_report(8, 3, 8).binding_value == 10
-        cut = max_size(8, 3, 8, max_nodes=10)
-        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 10)
-        done = max_size(8, 3, 8, max_nodes=11)
-        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 11)
-        assert done.witness == max_size(8, 3, 8).witness
+        # g8 5x5 reaches its cubic bound of 10 at its 37th node and stops
+        # there, proven; a budget one node short leaves it cut at 9 edges.
+        assert bounds.bound_report(5, 5, 8).binding_value == 10
+        cut = max_size(5, 5, 8, max_nodes=36)
+        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 36)
+        done = max_size(5, 5, 8, max_nodes=37)
+        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 37)
+        assert done.witness == max_size(5, 5, 8).witness
 
     def test_certificates_match_the_table(self):
         for row in json.loads(CERTIFICATES.read_text()):
@@ -515,19 +605,26 @@ class TestDeterminismAndBudgets:
         assert masks[-1]  # the last column in use is not empty
 
     def test_search_past_the_recursion_limit_is_a_value_error(self):
+        # g8 1000x64 lies below the unbalanced regime (1000 < 64^2 / 4), so
+        # max_size searches it.  certify_bound searches every cell, 1000x3
+        # too, which max_size proves by construction.
         limit = sys.getrecursionlimit()
-        for call in (max_size, certify_bound):
+        for call, v, w in ((max_size, 1000, 64), (certify_bound, 1000, 64), (certify_bound, 1000, 3)):
             with pytest.raises(ValueError) as exc:
-                call(1000, 3, 8)
+                call(v, w, 8)
             assert str(exc.value) == (
-                "search on v=1000 w=3 recurses once per edge, past Python's"
+                f"search on v={v} w={w} recurses once per edge, past Python's"
                 f" recursion limit of {limit}"
             )
 
     def test_search_below_the_recursion_limit_is_unchanged(self):
-        # One call per edge: 602 edges stay under the default limit of 1000.
-        cert = max_size(600, 3, 8)
-        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (602, True, 603)
+        # One call per edge: g6 186x20's 374 edges (searched as 20x186,
+        # just below the regime, 186 < C(20, 2)) and the 602 edges of
+        # certify_bound's search on 600x3 stay under the default limit of
+        # 1000.
+        cert = max_size(186, 20, 6)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (374, True, 130_690)
+        assert certify_bound(600, 3, 8)
 
     def test_certify_raises_on_budget(self):
         # The uncapped search of g8 6x7 takes thousands of nodes.
