@@ -188,8 +188,12 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     coarse bound; reiman stays applicable since girth 8 implies girth 6.
     Every bound is computed here, after one check of (v, w) and the girth
     floor; each public single-bound function returns one of these values.
-    The binding bound is the first minimum in METHOD_ORDER at both girths,
-    found in one pass over ``values``, which is filled in that order.
+    ``values`` is filled in METHOD_ORDER, and the binding bound is its
+    first minimum, found by at most two strict comparisons: coarse against
+    reiman at girth 6; at girth 8 cubic against reiman, then coarse against
+    the lesser, under the name cap when the cap applies, as it comes first
+    and equals coarse there.  The report is built with ``tuple.__new__``,
+    which skips the named tuple's Python-level ``__new__``.
     Below, (a, b) = (max(v, w), min(v, w)), p = vw and q = floor(b^2 / 4).
 
     The coarse rule.  With h = C(b, 2) at girth 6 and h = q at girth 8,
@@ -270,25 +274,28 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
         raise ValueError(f"girth target must be 6 or 8, got {girth_target}")
     a, b = (v, w) if v >= w else (w, v)
     p = a * b
-    h = b * (b - 1) // 2 if girth_target == 6 else b * b // 4
-    values = {"reiman": (a + isqrt(a * a + 4 * p * (b - 1))) // 2}
-    if a >= h:
-        coarse = a + h
-    elif girth_target == 6:
-        coarse = isqrt(4 * a * h)
+    reiman = (a + isqrt(a * a + 4 * p * (b - 1))) // 2
+    if girth_target == 6:
+        h = b * (b - 1) // 2
+        coarse = a + h if a >= h else isqrt(4 * a * h)
+        binding = "coarse" if coarse < reiman else "reiman"
+        return tuple.__new__(
+            BoundReport, (v, w, girth_target, {"reiman": reiman, "coarse": coarse}, binding)
+        )
+    q = b * b // 4
+    if a >= q:
+        coarse = a + q
+        start = a + 4 * q + 1
+        cubic = _descend(a + b, 2 * p, p * p, start, start)
+        values = {"reiman": reiman, "cubic": cubic, "cap": coarse, "coarse": coarse}
     else:
         c = 2 * p * p
         above = 1 << -(-c.bit_length() // 3)
         start = int(c ** (1 / 3) * (1 + 2 ** -40)) + 1 if p < 1 << 45 else above
         coarse = _descend(0, 0, c, start, above)
-    if girth_target == 8:
-        start = a + 4 * h + 1 if a >= h else coarse + 1
-        values["cubic"] = _descend(a + b, 2 * p, p * p, start, start)
-        if a >= h:
-            values["cap"] = coarse
-    values["coarse"] = coarse
-    binding, low = "reiman", values["reiman"]
-    for name, value in values.items():  # in METHOD_ORDER: the first minimum
-        if value < low:
-            binding, low = name, value
-    return BoundReport(v, w, girth_target, values, binding)
+        cubic = _descend(a + b, 2 * p, p * p, coarse + 1, coarse + 1)
+        values = {"reiman": reiman, "cubic": cubic, "coarse": coarse}
+    low, binding = (cubic, "cubic") if cubic < reiman else (reiman, "reiman")
+    if coarse < low:
+        binding = "cap" if a >= q else "coarse"
+    return tuple.__new__(BoundReport, (v, w, girth_target, values, binding))

@@ -114,16 +114,17 @@ def wq_incidence(q: int) -> BipartiteGraph:
     Each 2-subspace is built once, from its reduced row-echelon basis
     (r, s): r has its leading 1 at i and a 0 at j > i, s its leading 1 at
     j.  The form vanishes on the span exactly when it vanishes at (r, s).
-    The line's points are s and r + t*s (t = 0..q-1), whose indices are
-    computed, not looked up: in the order of _points, a point's index is
-    the count of points with an earlier leading 1 plus its entries after
-    its leading 1 read as a base-q number.  r + t*s has r's entries before
-    j, the digit t at j and the digits (r_k + t*s_k) mod q after it, so its
-    index is r's index with the digits from j on replaced by these.  It
-    keeps r's leading position i < j, so the indices rise with t and all
-    lie below s's.  Lines are numbered in the lexicographic order of the
-    sorted indices of their points, which is the order of their two lowest
-    points.
+    At j = 1 the q such s are solved for, out of q^2 candidates; at j >= 2
+    at most q candidates remain, and each is tested.  The line's points are
+    s and r + t*s (t = 0..q-1), whose indices are computed, not looked up:
+    in the order of _points, a point's index is the count of points with an
+    earlier leading 1 plus its entries after its leading 1 read as a base-q
+    number.  r + t*s has r's entries before j, the digit t at j and the
+    digits (r_k + t*s_k) mod q after it, so its index is r's index with the
+    digits from j on replaced by these.  It keeps r's leading position
+    i < j, so the indices rise with t and all lie below s's.  Lines are
+    numbered in the lexicographic order of the sorted indices of their
+    points, which is the order of their two lowest points.
     """
     pts = _points(q, 4)
     by_lead = [[], [], [], []]
@@ -142,7 +143,17 @@ def wq_incidence(q: int) -> BipartiteGraph:
                 continue
             w = q ** (3 - j)  # place value of the digit at j
             head = k - k % (w * q)  # r's index without its digits from j on
-            for ks, s in by_lead[j]:
+            partners = by_lead[j]
+            if j == 1:  # r = (1, 0, r2, r3) and s = (0, 1, s2, s3)
+                # The form is 1 + r2*s3 - r3*s2: 1 when r2 = r3 = 0, else
+                # zero exactly at the q points (s2, s3) = (x + t*r2, y + t*r3)
+                # from (x, y) = (1/r3, 0), or (0, -1/r2) when r3 = 0.  Each
+                # is solved for, not searched; s is by_lead[1][s2*q + s3].
+                if not (r2 or r3):
+                    continue
+                x, y = (pow(r3, -1, q), 0) if r3 else (0, -pow(r2, -1, q))
+                partners = [partners[(x + t * r2) % q * q + (y + t * r3) % q] for t in range(q)]
+            for ks, s in partners:
                 s0, s1, s2, s3 = s
                 if (r0 * s1 - r1 * s0 + r2 * s3 - r3 * s2) % q:
                     continue

@@ -40,6 +40,10 @@ __all__ = [
 # no edges would otherwise exhaust memory before any check fails.
 MAX_JSON_CLASS_SIZE = 10 ** 6
 
+# The most sources one lockstep sweep of girth() carries: its masks are at
+# most this many bits wide, which bounds the sweep's memory.
+_SOURCE_BATCH = 4096
+
 
 class Graph(namedtuple("Graph", "n edges")):
     """Uncoloured simple graph on vertices 0..n-1, kept as its sorted edge
@@ -169,36 +173,44 @@ def from_edges(v: int, w: int, pairs) -> BipartiteGraph:
 
 
 def girth(g: BipartiteGraph) -> GirthReport:
-    """Exact girth, by one lockstep BFS from many sources per component.
+    """Exact girth, by lockstep BFS sweeps from many sources at once.
 
     Components are found in O(v + e); a component with fewer edges than
     vertices is a tree and is skipped.  In every other component the
     vertices of its smaller class are the sources (every cycle meets both
-    classes), and all their searches advance together, one bit per source
-    (a multi-source BFS, as in Then et al., PVLDB 2014).  Each vertex x
-    keeps two masks over the sources: ``seen[x]``, the sources at distance
-    less than the current level L from x, and ``front[x]``, those at
-    distance exactly L.  At level L, each vertex x of that level's class
-    gathers the fronts of its neighbours; a source in two of them and not
-    in ``seen[x]`` has two distinct shortest paths of length L to x, so a
-    cycle of length at most 2L exists.  Conversely, from a source on a
-    shortest cycle, of length g, the vertex opposite it is reached twice
-    at level g/2 and not before.  All sources advance together, so the
-    first level with such a detection is g/2, and the girth is 2L.  The
-    sweep stops there, or once 2L reaches the best girth of an earlier
-    component; a cyclic component always has a detection, so it needs no
-    other stop.
+    classes), taken in batches of at most _SOURCE_BATCH.  The searches
+    from one batch advance together, one bit per source (a multi-source
+    BFS, as in Then et al., PVLDB 2014).  Each vertex x keeps two masks
+    over the batch: ``seen[x]``, the sources at distance less than the
+    current level L from x, and ``front[x]``, those at distance exactly L.
+    At level L, each vertex x of that level's class gathers the fronts of
+    its neighbours; a source in two of them and not in ``seen[x]`` has two
+    distinct shortest paths of length L to x, so a cycle of length at most
+    2L exists.  Conversely, if a source lies on a cycle of length c, some
+    vertex is reached twice from it by level c/2: with no such vertex, the
+    ball of radius c/2 around the source, which holds the cycle, would be
+    a tree.  So the first level with a detection in a batch holding a
+    source on a shortest cycle, of length g, is g/2, and no batch detects
+    before that level.  A batch sweep stops at its first detection, or once
+    2L reaches the best girth so far, from an earlier batch or component;
+    every batch of a cyclic component has a detection (a BFS from any of
+    its vertices meets an edge outside its tree), so it needs no other
+    stop.  Sources of different batches never interact, so batching
+    bounds the masks' width without changing the result.
 
-    Cost: at most g/2 levels (fewer when an earlier component is
-    shorter), each O(e) operations on masks as wide as the component's
-    number of sources n_s.  Memory: Theta(n * n_s) bits for a cyclic
-    component of n vertices, one component at a time.
+    Cost: per batch at most g/2 levels (fewer once a shorter cycle is
+    known), each O(e) operations on masks at most _SOURCE_BATCH bits wide.
+    Memory: Theta(n * min(n_s, _SOURCE_BATCH)) bits for a cyclic component
+    of n vertices and n_s sources, one component and one batch at a time.
     """
     best: int | None = None
     for adj_v, adj_w in _cyclic_components(g):
-        best = _component_girth(adj_v, adj_w, best)
-        if best == 4:
-            break  # even girth cannot drop below 4
+        if len(adj_v) > len(adj_w):
+            adj_v, adj_w = adj_w, adj_v  # sources from the smaller class
+        for first in range(0, len(adj_v), _SOURCE_BATCH):
+            best = _sweep(adj_v, adj_w, first, best)
+            if best == 4:
+                return GirthReport(girth=4)  # even girth cannot drop below 4
     return GirthReport(girth=best)
 
 
@@ -235,13 +247,16 @@ def _cyclic_components(g: BipartiteGraph):
         )
 
 
-def _component_girth(adj_v: list, adj_w: list, limit: int | None) -> int:
-    """The lesser of ``limit`` and a cyclic component's girth; a ``limit``
-    of None is no limit."""
-    if len(adj_v) > len(adj_w):
-        adj_v, adj_w = adj_w, adj_v  # sources from the smaller class
+def _sweep(adj_v: list, adj_w: list, first: int, limit: int | None) -> int:
+    """The lesser of ``limit`` (None for no limit) and 2L for the first
+    level L with a detection in the lockstep BFS from the V-vertices
+    first, first + 1, ..., at most _SOURCE_BATCH of them, of a cyclic
+    component.  2L is at least the component's girth and at most the
+    length of a shortest cycle through one of these sources."""
+    stop = min(first + _SOURCE_BATCH, len(adj_v))
     adj = (adj_v, adj_w)
-    front = [[1 << s for s in range(len(adj_v))], [0] * len(adj_w)]
+    front = [[0] * len(adj_v), [0] * len(adj_w)]
+    front[0][first:stop] = [1 << s for s in range(stop - first)]
     seen = [front[0][:], front[1][:]]  # per class, indexed by local vertex
     level = 1
     while limit is None or 2 * level < limit:

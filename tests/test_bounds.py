@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -9,6 +10,8 @@ import pytest
 
 from girthbound import bounds
 from girthbound.bounds import (
+    METHOD_ORDER,
+    BoundReport,
     balanced_approx,
     balanced_approx_at_cube,
     bound_report,
@@ -376,6 +379,40 @@ class TestBoundReport:
         rows = [list(bound_report(v, w, g)) for g in (6, 8) for v in range(1, 101) for w in range(1, 101)]
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == json.loads(BOUNDS.read_text())["bound_report(1..100, 1..100, 6 and 8)"]
+
+    @pytest.mark.parametrize("v,w,girth,values,binding", [
+        (3, 3, 6, {"reiman": 6, "coarse": 6}, "reiman"),
+        (8, 3, 6, {"reiman": 12, "coarse": 11}, "coarse"),
+        (2, 2, 8, {"reiman": 3, "cubic": 3, "cap": 3, "coarse": 3}, "reiman"),
+        (4, 4, 8, {"reiman": 9, "cubic": 8, "cap": 8, "coarse": 8}, "cubic"),
+        (6, 6, 8, {"reiman": 16, "cubic": 13, "coarse": 13}, "cubic"),
+        (6, 3, 8, {"reiman": 9, "cubic": 9, "cap": 8, "coarse": 8}, "cap"),
+        (8, 8, 8, {"reiman": 25, "cubic": 19, "coarse": 20}, "cubic"),
+    ])
+    def test_ties_name_the_first_minimum_in_method_order(self, v, w, girth, values, binding):
+        for a, b in ((v, w), (w, v)):
+            r = bound_report(a, b, girth)
+            assert r.values == values and r.binding == binding
+            assert list(r.values) == [m for m in METHOD_ORDER if m in values]
+
+    def test_report_is_an_ordinary_named_tuple(self):
+        r = bound_report(10, 4, 8)
+        values = {"reiman": 17, "cubic": 15, "cap": 14, "coarse": 14}
+        assert type(r) is BoundReport and r == BoundReport(10, 4, 8, values, "cap")
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert r._replace(binding="coarse") == BoundReport(10, 4, 8, values, "coarse")
+        assert r.binding_value == 14
+
+    def test_class_sizes_are_checked_before_the_girth_floor(self):
+        with pytest.raises(ValueError, match="class sizes must be >= 1, got v=0 w=5"):
+            bound_report(0, 5, 7)
+        with pytest.raises(ValueError, match="girth target must be 6 or 8, got 7"):
+            bound_report(5, 5, 7)
+
+    def test_the_girth_target_is_kept_as_passed(self):
+        target = 8.0
+        r = bound_report(15, 15, target)
+        assert r.girth_target is target and r == bound_report(15, 15, 8)
 
 
 def check_girth8_cell(v, w):

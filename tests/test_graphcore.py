@@ -8,7 +8,15 @@ from itertools import combinations
 import pytest
 
 from girthbound import graphcore
-from girthbound.constructions import complete_bipartite, grid_incidence, unbalanced8, wq_incidence
+from girthbound.constructions import (
+    complete_bipartite,
+    expand,
+    grid_incidence,
+    pg2_incidence,
+    unbalanced6,
+    unbalanced8,
+    wq_incidence,
+)
 from girthbound.graphcore import (
     BipartiteGraph,
     GirthReport,
@@ -158,6 +166,36 @@ class TestUncolouredGraph:
             Graph(n, pairs)
 
 
+def matching_union(n: int, seed: int) -> BipartiteGraph:
+    """The union of three seeded perfect matchings of n + n vertices."""
+    rng = random.Random(seed)
+    pairs = set()
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs.update(enumerate(perm))
+    return from_edges(n, n, pairs)
+
+
+@pytest.fixture(scope="module")
+def girth_corpus():
+    """20,000 random graphs of 1-4 parts with up to 12 vertices per class
+    in a part, then every construction family and its transpose."""
+    rng = random.Random(30)
+    graphs = [
+        disjoint_union([random_part(rng, 12) for _ in range(rng.randint(1, 4))])
+        for _ in range(20000)
+    ]
+    families = [pg2_incidence(q) for q in (2, 3, 5, 7, 11, 13)]
+    families += [wq_incidence(q) for q in (2, 3, 5, 7)]
+    families += [grid_incidence(t) for t in range(6)]
+    families += [unbalanced6(b, a) for b in (3, 4, 5) for a in (b * (b - 1) // 2, 40)]
+    families += [unbalanced8(b, a) for b in (2, 4, 6) for a in (b * b // 4, 40)]
+    families += [complete_bipartite(a, b) for a in (1, 2, 5) for b in (1, 3, 5)]
+    families += [expand(contract(g)) for g in (pg2_incidence(2), wq_incidence(2))]
+    return graphs + families + [transpose(g) for g in families]
+
+
 class TestGirth:
     def test_c8(self):
         rep = girth(c8())
@@ -250,6 +288,29 @@ class TestGirth:
             tracemalloc.stop()
         assert rep == want
         assert peak < 4 * 2 ** 20
+
+    def test_many_sources_are_swept_in_batches(self):
+        # 20,000 sources in one component: four sweeps of at most 4,096
+        # sources find 6, 6, 6 and then 4, with a peak of about 21 MiB.  One
+        # sweep over every source, with masks up to 20,000 bits wide at
+        # each vertex, peaked at 135 MiB.
+        g = matching_union(20000, 7)
+        tracemalloc.start()
+        try:
+            rep = girth(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == GirthReport(girth=4)
+        assert peak < 25 * 2 ** 20
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_the_batch_size_does_not_change_the_girth(self, girth_corpus, monkeypatch, batch):
+        # Every graph here has at most 4,096 sources per component, so the
+        # default batch sweeps all of them at once.
+        want = [girth(g) for g in girth_corpus]
+        monkeypatch.setattr(graphcore, "_SOURCE_BATCH", batch)
+        assert [girth(g) for g in girth_corpus] == want
 
     def test_several_cyclic_components_against_the_oracle(self):
         # Each component's sweep stops once twice its level reaches the best
@@ -390,7 +451,6 @@ class TestContract:
         assert cg.n == 1 and cg.e == 0
 
     def test_roundtrip_with_expand(self):
-        from girthbound.constructions import expand
         from helpers import random_uncoloured
 
         rng = random.Random(29)
@@ -469,7 +529,6 @@ class TestWeakGQ:
         assert not verify_weak_gq(p4)
 
     def test_girth_six_fails(self):
-        from girthbound.constructions import pg2_incidence
 
         assert not verify_weak_gq(pg2_incidence(2))
 
