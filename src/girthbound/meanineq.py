@@ -8,10 +8,16 @@ margins.  The doubled-threshold hypothesis is sharp; the single-threshold
 regime admits counterexamples, which this module can hunt for.
 
 Every comparison is exact: the interesting cases live near the boundary,
-where float ties would be untrustworthy.  A matrix keeps its entries once
-as integer numerators over the least common denominator L of its entries.
-At rho = p/q and gamma = r/s, F*phi and F*rhs are integers for
-F = L^3*q*s*v*w, so the verdict is decided by comparing plain ints, and a
+where float ties would be untrustworthy.  Expanding the product gives
+
+    phi(rho, gamma) = psi - gamma sum_i a_i*^2 - rho sum_j a_*j^2 + rho gamma e,
+
+with psi = sum a_ij a_i* a_*j, so a matrix keeps no entries: only its
+margins as integer numerators over the least common denominator L of its
+entries, and four integers, psi * L^3, the two sums of squared margins
+times L^2, and e * L.  At rho = p/q and gamma = r/s, F*phi and F*rhs are
+then integers for F = L^3*q*s*v*w, each from a few products whatever the
+size of the matrix; the verdict is decided by comparing plain ints, and a
 Fraction is built only for each value returned.
 """
 
@@ -21,6 +27,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -42,27 +49,42 @@ __all__ = [
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
+def _parse(value):
+    """The (p, q) in lowest terms of a string "p" or "p/q"."""
+    match = _RATIONAL.fullmatch(value)
+    if match:
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # only past int()'s digit limit
+            raise ValueError(
+                f"rational {value.strip()[:12]}... has more digits than Python"
+                f" converts to an integer (at most {sys.get_int_max_str_digits()})"
+            ) from None
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+        raise ValueError(f"{value!r} has a zero denominator")
+    raise ValueError(f"{value!r} is not a rational p or p/q")
+
+
+# Matrix files repeat a few entry strings many times.  Only exact str goes
+# through the cache: a subclass may redefine hashing or equality.  An error
+# is raised, never stored.
+_parse_cached = lru_cache(maxsize=1024)(_parse)
+
+
 def _ratio(value) -> tuple[int, int]:
     """The (p, q) in lowest terms, q > 0, of what :func:`rational` accepts;
     the one parse behind it and ``NonnegMatrix(rows)``."""
-    # Fraction last: isinstance goes through its ABC metaclass.
-    if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if match:
-            try:
-                num, den = int(match[1]), int(match[2] or 1)
-            except ValueError:  # only past int()'s digit limit
-                raise ValueError(
-                    f"rational {value.strip()[:12]}... has more digits than Python"
-                    f" converts to an integer (at most {sys.get_int_max_str_digits()})"
-                ) from None
-            if den:
-                g = gcd(num, den)
-                return num // g, den // g
-            raise ValueError(f"{value!r} has a zero denominator")
-    elif isinstance(value, int) and not isinstance(value, bool):
+    kind = type(value)
+    if kind is str:
+        return _parse_cached(value)
+    if kind is int or isinstance(value, int) and kind is not bool:
         return value, 1
-    elif isinstance(value, Fraction):
+    if isinstance(value, str):
+        return _parse(value)
+    # Fraction last: isinstance goes through its ABC metaclass.
+    if isinstance(value, Fraction):
         return value.as_integer_ratio()
     raise ValueError(f"{value!r} is not a rational p or p/q")
 
@@ -82,15 +104,18 @@ class NonnegMatrix:
     """Rectangular matrix of nonnegative rationals.
 
     The margins ``row_sums``, ``col_sums`` and ``total`` are read-only
-    properties that build Fractions on each read; ``check``, ``phi`` and
-    ``find_weak_hypothesis_violation`` never read them.  The entries are
-    kept only in the private integer form: the least common denominator
-    ``_den`` of the entries, each row's nonzero entries as column indices
-    (``_cols``) and numerators over ``_den`` (``_nums``), and the margins'
-    numerators ``_row_nums`` and ``_col_nums``.
+    properties that build Fractions on each read; ``check``, ``phi``,
+    ``psi`` and ``find_weak_hypothesis_violation`` never read them.  The
+    entries are not kept.  With N, R and C the numerators of the entries
+    and margins over their least common denominator ``_den`` = L, a matrix
+    holds ``_row_nums`` = R, ``_col_nums`` = C and four integers:
+    ``_psi`` = sum_ij N_ij R_i C_j, ``_row_sq`` = sum_i R_i^2,
+    ``_col_sq`` = sum_j C_j^2 and ``_e`` = sum_i R_i, which are psi * L^3,
+    the sums of squared margins times L^2 and e * L.  That is O(v + w)
+    integers, and all that phi needs at any (rho, gamma).
     """
 
-    __slots__ = ("v", "w", "_den", "_cols", "_nums", "_row_nums", "_col_nums")
+    __slots__ = ("v", "w", "_den", "_row_nums", "_col_nums", "_psi", "_row_sq", "_col_sq", "_e")
 
     def __init__(self, rows) -> None:
         if not isinstance(rows, (list, tuple)):
@@ -106,27 +131,27 @@ class NonnegMatrix:
         if any(len(row) != width for row in parsed):
             raise ValueError("matrix rows must all have the same length")
         den = lcm(*[q for row in parsed for _, q in row])
-        cols, nums = [], []
+        # One pass over the nonzeros: T_j = sum_i N_ij R_i, so that
+        # psi * L^3 = sum_j C_j T_j.
+        row_nums, col_nums, col_t = [], [0] * width, [0] * width
         for row in parsed:
-            row_cols, row_nums = [], []
-            for j, (p, q) in enumerate(row):
-                if p:
-                    if p < 0:
-                        raise ValueError(f"matrix entry {Fraction(p, q)} is negative")
-                    row_cols.append(j)
-                    row_nums.append(p * (den // q))
-            cols.append(row_cols)
-            nums.append(row_nums)
-        self._fill(width, den, cols, nums)
+            nums = [p * (den // q) for p, q in row]
+            r = sum(nums)
+            for j, n in enumerate(nums):
+                if n:
+                    if n < 0:
+                        raise ValueError(f"matrix entry {Fraction(n, den)} is negative")
+                    col_nums[j] += n
+                    col_t[j] += n * r
+            row_nums.append(r)
+        self._store(den, row_nums, col_nums, sum(map(mul, col_nums, col_t)))
 
-    def _fill(self, width, den, cols, nums) -> None:
-        self.v, self.w = len(cols), width
-        self._den, self._cols, self._nums = den, cols, nums
-        self._row_nums = list(map(sum, nums))
-        self._col_nums = col_nums = [0] * self.w
-        for row_cols, row_nums in zip(cols, nums):
-            for j, p in zip(row_cols, row_nums):
-                col_nums[j] += p
+    def _store(self, den, row_nums, col_nums, psi):
+        self.v, self.w = len(row_nums), len(col_nums)
+        self._den, self._row_nums, self._col_nums, self._psi = den, row_nums, col_nums, psi
+        self._row_sq = sum(map(mul, row_nums, row_nums))
+        self._col_sq = sum(map(mul, col_nums, col_nums))
+        self._e = sum(row_nums)
 
     @property
     def row_sums(self) -> tuple:
@@ -138,20 +163,22 @@ class NonnegMatrix:
 
     @property
     def total(self) -> Fraction:
-        return Fraction(sum(self._row_nums), self._den)
+        return Fraction(self._e, self._den)
 
     @classmethod
     def from_graph(cls, g) -> "NonnegMatrix":
         """0/1 incidence matrix of a graphcore.BipartiteGraph (rows = class V).
 
         Built directly: the entries of a validated graph cannot fail the
-        parse and sign checks of ``NonnegMatrix(rows)``, and the
-        denominator is 1.
+        parse and sign checks of ``NonnegMatrix(rows)``, the denominator
+        is 1, the margins are the degrees, and psi is the sum over the
+        edges of the product of their ends' degrees.
         """
         if g.v == 0 or g.w == 0:
             raise ValueError("incidence matrix needs both classes nonempty")
+        deg_v, deg_w = g.degrees_v(), g.degrees_w()
         m = cls.__new__(cls)
-        m._fill(g.w, 1, list(map(list, g.adj_v)), [[1] * len(nb) for nb in g.adj_v])
+        m._store(1, list(deg_v), list(deg_w), sum(deg_v[i] * deg_w[j] for i, j in g.edges))
         return m
 
     def __repr__(self) -> str:
@@ -162,17 +189,14 @@ def _scaled(m: NonnegMatrix, p: int, q: int, r: int, s: int) -> tuple[int, int, 
     """(F*phi, F*rhs, F) at rho = p/q and gamma = r/s, all three integers,
     for F = L^3*q*s*v*w and L the matrix's common denominator.
 
-    With N, R and C the numerators over L of the entries and margins,
-    L^3*q*s*phi = sum_i (R_i q - p L) sum_j N_ij (C_j s - r L), and with
-    E = L*e, L^3*q*s*v*w*rhs = E (E q - p L v)(E s - r L w).
+    From phi = psi - gamma sum R_i^2 / L^2 - rho sum C_j^2 / L^2 + rho gamma E / L,
+    L^3*q*s*phi = q s Psi - L (q r sum R_i^2 + p s sum C_j^2) + p r L^2 E,
+    and L^3*q*s*v*w*rhs = E (E q - p L v)(E s - r L w), with Psi = L^3 psi
+    and E = L e.
     """
-    den, v, w = m._den, m.v, m.w
+    den, v, w, e = m._den, m.v, m.w, m._e
     pl, rl = p * den, r * den
-    col = [c * s - rl for c in m._col_nums].__getitem__
-    lhs = 0
-    for row_num, cols, nums in zip(m._row_nums, m._cols, m._nums):
-        lhs += (row_num * q - pl) * sum(map(mul, nums, map(col, cols)))
-    e = sum(m._row_nums)
+    lhs = q * s * m._psi - den * (q * r * m._row_sq + p * s * m._col_sq) + pl * rl * e
     return lhs * v * w, e * (e * q - pl * v) * (e * s - rl * w), den ** 3 * q * s * v * w
 
 
@@ -227,10 +251,14 @@ def find_weak_hypothesis_violation(
     hypotheses hold (every row sum >= rho, every column sum >= gamma) yet
     phi < e(e/v - rho)(e/w - gamma).
 
-    Returns the first violating pair in grid order, or None.  This is the
-    certificate that the doubled thresholds cannot be weakened to single
-    ones.
+    The grid has step 1/denominator, for an int denominator >= 1;
+    anything else, a bool included, raises ValueError.  Returns the first
+    violating pair in grid order, or None.  This is the certificate that
+    the doubled thresholds cannot be weakened to single ones.  Each grid
+    point costs a few integer products, whatever the size of the matrix.
     """
+    if not isinstance(denominator, int) or isinstance(denominator, bool):
+        raise ValueError(f"denominator must be an integer, got {denominator!r}")
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
     for p in range(min(m._row_nums) * denominator // m._den + 1):

@@ -69,6 +69,22 @@ class TestRational:
             accepted += 1
         assert 2000 < accepted < len(cases)
 
+    def test_only_exact_strings_are_cached_and_errors_never(self):
+        class Text(str):
+            pass
+
+        cache = meanineq._parse_cached
+        cache.cache_clear()
+        assert rational(Text(" 3/6")) == Fraction(1, 2)
+        for value in ("1/0", "1.5", "9" * 4301):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    rational(value)
+        assert cache.cache_info().currsize == 0
+        assert rational(" 3/6") == rational(" 3/6") == Fraction(1, 2)
+        info = cache.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+
 
 class TestMatrix:
     def test_margins_are_built_on_read(self):
@@ -129,18 +145,20 @@ class TestMatrix:
         assert m.total == 3
         assert phi(m, 1, 1) == count_paths3(g) == 1
 
-    def test_from_graph_stores_the_edges_not_the_dense_matrix(self):
+    def test_from_graph_keeps_the_margins_not_the_edges(self):
         # W(7): 400 x 400 with 3,200 edges.  A dense v*w copy alone would
-        # take well over 1 MiB.
+        # take well over 1 MiB, and a copy of the edges about 100 KiB; the
+        # two lists of 400 degrees take about 7 KiB.
         g = wq_incidence(7)
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
             m = NonnegMatrix.from_graph(g)
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = (x - before for x in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert m.total == g.e == 3200
-        assert peak < 1 << 20
+        assert kept <= peak < 16 << 10
 
     def test_from_graph_equals_parsed_rows(self):
         rng = random.Random(29)
@@ -165,13 +183,17 @@ class TestMatrix:
 
 
 def fraction_per_entry(rows):
-    """(_den, _cols, _nums, row_sums, col_sums, total) of a matrix by the
-    reference parse: one Fraction per entry, then their common denominator."""
+    """(_den, _row_nums, _col_nums, _psi, _row_sq, _col_sq, _e, row_sums,
+    col_sums, total) of a matrix by the reference parse: one Fraction per
+    entry, then their common denominator L, the margins times L, psi times
+    L^3, the sums of squared margins times L^2 and the total times L."""
     entries = [[rational_oracle(x) for x in row] for row in rows]
     den = lcm(*[x.denominator for row in entries for x in row])
-    cols = [[j for j, x in enumerate(row) if x] for row in entries]
-    nums = [[x.numerator * (den // x.denominator) for x in row if x] for row in entries]
-    return (den, cols, nums, *margins_oracle(entries))
+    row_sums, col_sums, total = margins_oracle(entries)
+    psi = check_oracle(entries, 0, 0)[0]
+    return (den, [x * den for x in row_sums], [x * den for x in col_sums], psi * den ** 3,
+            sum(x * x for x in row_sums) * den ** 2, sum(x * x for x in col_sums) * den ** 2,
+            total * den, row_sums, col_sums, total)
 
 
 def random_entry(rng: random.Random):
@@ -201,9 +223,10 @@ class TestParseParity:
             cases.append([[random_entry(rng) for _ in range(w)] for _ in range(v)])
         for rows in cases:
             m = NonnegMatrix(rows)
-            got = (m._den, m._cols, m._nums, m.row_sums, m.col_sums, m.total)
+            invariants = (m._psi, m._row_sq, m._col_sq, m._e)
+            got = (m._den, m._row_nums, m._col_nums, *invariants, m.row_sums, m.col_sums, m.total)
             assert got == fraction_per_entry(rows), rows
-            assert m._row_nums == [sum(r) for r in m._nums]
+            assert all(type(x) is int for x in (m._den, *m._row_nums, *m._col_nums, *invariants))
             assert all(type(x) is Fraction for x in (*m.row_sums, *m.col_sums, m.total))
 
     @pytest.mark.parametrize(
@@ -533,6 +556,20 @@ class TestWeakHypothesisSearch:
         m = NonnegMatrix(COUNTEREXAMPLE_1)
         with pytest.raises(ValueError, match="denominator must be >= 1"):
             meanineq.find_weak_hypothesis_violation(m, 0)
+
+    @pytest.mark.parametrize("denominator", [True, False, 2.5, 4.0, "4", None, Fraction(4)])
+    def test_refuses_a_denominator_that_is_not_an_int(self, denominator):
+        m = NonnegMatrix(COUNTEREXAMPLE_1)
+        with pytest.raises(ValueError, match="denominator must be an integer, got"):
+            meanineq.find_weak_hypothesis_violation(m, denominator)
+
+    @pytest.mark.parametrize("build,q", [(wq_incidence, 7), (pg2_incidence, 13)], ids=["W(7)", "PG(2,13)"])
+    def test_none_on_the_equality_families(self, build, q):
+        # Biregular: phi meets the bound with equality on the whole grid up
+        # to the least degree (33 x 33 points for W(7), 57 x 57 for
+        # PG(2, 13)), so no point violates it.
+        m = NonnegMatrix.from_graph(build(q))
+        assert meanineq.find_weak_hypothesis_violation(m) is None
 
     def test_none_for_safe_matrix(self):
         m = NonnegMatrix([[1, 1], [1, 1]])
