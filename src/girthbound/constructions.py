@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import isqrt
-from operator import add
 
 from .graphcore import BipartiteGraph, Graph, from_edges
 
@@ -30,12 +29,17 @@ __all__ = [
 ]
 
 
+def _check_prime(q: int) -> None:
+    """Raise ValueError unless q is prime."""
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"{q} is not prime")
+
+
 def _points(q: int, dim: int) -> list[tuple[int, ...]]:
     """All points of PG(dim-1, q), q prime, as coordinate tuples whose first
     nonzero entry is 1: ordered by the position of that entry, then
     lexicographically by the entries after it."""
-    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
-        raise ValueError(f"{q} is not prime")
+    _check_prime(q)
     return [
         (0,) * lead + (1,) + tail
         for lead in range(dim)
@@ -83,7 +87,7 @@ def pg2_incidence(q: int) -> BipartiteGraph:
     Points and lines are both the canonical points of PG(2, q) (lines via
     duality); incidence is a vanishing dot product.  v = w = q^2 + q + 1,
     all degrees q + 1, girth 6, and the girth-6 quadratic bound is met
-    with equality.  Exercised for prime q up to 13.
+    with equality.  Tested for prime q up to 23.
 
     Each line's q + 1 points are solved for, not searched: in the order of
     _points, (1, a, b) is point a*q + b, (0, 1, b) point q^2 + b (row a = q)
@@ -108,67 +112,42 @@ def wq_incidence(q: int) -> BipartiteGraph:
     Points are all of PG(3, q); lines are the totally isotropic
     2-subspaces of the alternating form x1*y2 - x2*y1 + x3*y4 - x4*y3.
     v = w = (q+1)(q^2+1), both sides (q+1)-regular, e = (q+1)^2 (q^2+1),
-    girth exactly 8, and the cubic bound is met with equality.  Exercised
-    for prime q up to 13.
+    girth exactly 8, and the cubic bound is met with equality.  Tested
+    for prime q up to 19.
 
-    Each 2-subspace is built once, from its reduced row-echelon basis
-    (r, s): r has its leading 1 at i and a 0 at j > i, s its leading 1 at
-    j.  The form vanishes on the span exactly when it vanishes at (r, s).
-    At j = 1 the q such s are solved for, out of q^2 candidates; at j >= 2
-    at most q candidates remain, and each is tested.  The line's points are
-    s and r + t*s (t = 0..q-1), whose indices are computed, not looked up:
-    in the order of _points, a point's index is the count of points with an
-    earlier leading 1 plus its entries after its leading 1 read as a base-q
-    number.  r + t*s has r's entries before j, the digit t at j and the
-    digits (r_k + t*s_k) mod q after it, so its index is r's index with the
-    digits from j on replaced by these.  It keeps r's leading position
-    i < j, so the indices rise with t and all lie below s's.  Lines are
-    numbered in the lexicographic order of the sorted indices of their
-    points, which is the order of their two lowest points.
+    Each line is solved for from the pivots (i, j) of its reduced
+    row-echelon basis (r, s), so the form is never evaluated:
+      (0, 1): r = (1, 0, a, b), s = (0, 1, c, d) with 1 + ad - bc = 0, so
+              (a, b) != 0 and (c, d) = (x + u*a, y + u*b) for u = 0..q-1,
+              from (x, y) = (1/b, 0), or (0, -1/a) when b = 0;
+      (0, 2) and (1, 2): r = (1, a, 0, 0) or (0, 1, 0, 0), s = (0, 0, 1, c);
+      (0, 3) and (1, 3): r = (1, a, 0, 0) or (0, 1, 0, 0), s = (0, 0, 0, 1);
+    in the last four r's entries at 2 and 3 are 0, one as s's pivot column
+    and the other forced by the form.  Pivots (2, 3) are never isotropic.
+    That is (q+1)(q^2+1) lines.  A line's points are r + t*s
+    (t = 0..q-1), then s.  In the order of _points, (1, x, y, z) is point
+    x*q^2 + y*q + z, (0, 1, y, z) is q^3 + y*q + z, (0, 0, 1, z) is
+    q^3 + q^2 + z and (0, 0, 0, 1) is q^3 + q^2 + q, so each line's
+    indices rise.  Lines are numbered in the lexicographic order of those
+    indices.
     """
-    pts = _points(q, 4)
-    by_lead = [[], [], [], []]
-    for k, p in enumerate(pts):
-        by_lead[p.index(1)].append((k, p))
-    # steps[m][a][b]: the digits (a + t*b) mod q for t = 0..q-1, times q^m
-    steps = [
-        [[[(a + t * b) % q * q**m for t in range(q)] for b in range(q)] for a in range(q)]
-        for m in (0, 1)
-    ]
+    _check_prime(q)
+    qq, q3 = q * q, q**3
     lines = []
-    for k, r in enumerate(pts):
-        r0, r1, r2, r3 = r
-        for j in range(r.index(1) + 1, 4):
-            if r[j]:
-                continue
-            w = q ** (3 - j)  # place value of the digit at j
-            head = k - k % (w * q)  # r's index without its digits from j on
-            partners = by_lead[j]
-            if j == 1:  # r = (1, 0, r2, r3) and s = (0, 1, s2, s3)
-                # The form is 1 + r2*s3 - r3*s2: 1 when r2 = r3 = 0, else
-                # zero exactly at the q points (s2, s3) = (x + t*r2, y + t*r3)
-                # from (x, y) = (1/r3, 0), or (0, -1/r2) when r3 = 0.  Each
-                # is solved for, not searched; s is by_lead[1][s2*q + s3].
-                if not (r2 or r3):
-                    continue
-                x, y = (pow(r3, -1, q), 0) if r3 else (0, -pow(r2, -1, q))
-                partners = [partners[(x + t * r2) % q * q + (y + t * r3) % q] for t in range(q)]
-            for ks, s in partners:
-                s0, s1, s2, s3 = s
-                if (r0 * s1 - r1 * s0 + r2 * s3 - r3 * s2) % q:
-                    continue
-                line = range(head, head + q * w, w)
-                for m in range(3 - j):  # the digit at 3 - m
-                    line = map(add, line, steps[m][r[3 - m]][s[3 - m]])
-                lines.append([*line, ks])
+    for a, b in product(range(q), repeat=2):  # pivots (0, 1)
+        if not (a or b):
+            continue
+        x, y = (pow(b, -1, q), 0) if b else (0, -pow(a, -1, q))
+        for u in range(q):
+            c, d = (x + u * a) % q, (y + u * b) % q
+            line = [t * qq + (a + t * c) % q * q + (b + t * d) % q for t in range(q)]
+            lines.append(line + [q3 + c * q + d])
+    for h in range(0, q3 + 1, qq):  # r = (1, a, 0, 0) at a*q^2, then (0, 1, 0, 0) at q^3
+        lines += [[h + t * q + t * c % q for t in range(q)] + [q3 + qq + c] for c in range(q)]
+        lines.append([*range(h, h + q), q3 + qq + q])
     lines.sort()
-    expected = (q + 1) * (q * q + 1)
-    if len(lines) != expected:
-        raise AssertionError(
-            f"isotropic line count {len(lines)} != {expected} for q={q}"
-        )
     pairs = [(i, j) for j, line in enumerate(lines) for i in line]
-    return from_edges(len(pts), len(lines), pairs)
+    return from_edges(q3 + qq + q + 1, len(lines), pairs)
 
 
 def _expansion_pairs(edges, w: int) -> list[tuple[int, int]]:

@@ -331,12 +331,10 @@ def _search(
 
     ``cap`` must be a proven upper bound on the maximum (``v * w`` stops
     nothing early), because the search stops as soon as its best graph
-    reaches it.  For v > w the tree runs on (w, v) and the witness is
-    transposed back.
+    reaches it.  The tree runs with no more rows than columns.
     """
     start = time.monotonic()
-    flip = v > w  # search the orientation with no more rows than columns
-    rows, cols = (w, v) if flip else (v, w)
+    rows, cols = sorted((v, w))
     try:
         best_e, best_masks, nodes, exhaustive = _explore(
             rows, cols, min_girth, cap, max_nodes, start + max_seconds
@@ -346,12 +344,7 @@ def _search(
             f"search on v={v} w={w} recurses once per edge, past Python's"
             f" recursion limit of {sys.getrecursionlimit()}"
         ) from None
-    pairs = [
-        (j, i) if flip else (i, j)
-        for j, mask in enumerate(best_masks)
-        for i in range(rows)
-        if mask >> i & 1
-    ]
+    pairs = [(i, j) for j, mask in enumerate(best_masks) for i in range(rows) if mask >> i & 1]
     return _certificate(v, w, min_girth, pairs, exhaustive, nodes, start)
 
 
@@ -364,8 +357,11 @@ def _certificate(
     nodes: int,
     start: float,
 ) -> SearchCertificate:
-    """The certificate whose witness has the edges ``pairs``, after
-    graphcore.girth has checked the witness against the floor."""
+    """The certificate whose witness has the edges ``pairs``, given as
+    (row, column) with no more rows than columns and transposed here for
+    v > w, after graphcore.girth has checked the witness against the floor."""
+    if v > w:
+        pairs = [(j, i) for i, j in pairs]
     witness = graphcore.from_edges(v, w, pairs)
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:
@@ -415,8 +411,6 @@ def max_size(
         pairs = constructions._unbalanced8_pairs(b, a)
     else:  # girth 6, or a star
         pairs = constructions._unbalanced6_pairs(b, a)
-    if v > w:
-        pairs = [(j, i) for i, j in pairs]
     cert = _certificate(v, w, min_girth, pairs, True, 0, start)
     if cert.e_max != cap:
         raise RuntimeError(

@@ -91,7 +91,7 @@ class TestProjectiveSpace:
     def test_line_has_q_plus_1_points(self):
         # Each line of W(q) is the point set of a totally isotropic
         # 2-subspace: q + 1 points, all spanned by any two of them.
-        for q in (2, 3, 5):
+        for q in (2, 3, 5, 7):
             pts = cn._points(q, 4)
             g = cn.wq_incidence(q)
             for nbrs in g.adj_w:
@@ -233,7 +233,7 @@ class TestProjectivePlane:
 
 
 class TestSymplecticQuadrangle:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19])
     def test_full_invariants(self, q):
         g = cn.wq_incidence(q)
         n = (q + 1) * (q * q + 1)
