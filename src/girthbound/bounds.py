@@ -50,11 +50,6 @@ def eval_cubic(v: int, w: int, e) -> int:
     return e ** 3 - (v + w) * e ** 2 + 2 * v * w * e - v * v * w * w
 
 
-def _require_positive(v: int, w: int) -> None:
-    if v < 1 or w < 1:
-        raise ValueError(f"class sizes must be >= 1, got v={v} w={w}")
-
-
 def reiman_max_e(v: int, w: int) -> int:
     """Largest integer e with O nonpositive in both class orientations."""
     return bound_report(v, w, 6).values["reiman"]
@@ -155,7 +150,8 @@ def discriminant_from_sp(s: int, p: int) -> int:
 
 
 def cubic_discriminant(v: int, w: int) -> CubicDiagnostics:
-    _require_positive(v, w)
+    if v < 1 or w < 1:
+        raise ValueError(f"class sizes must be >= 1, got v={v} w={w}")
     s, p = v + w, v * w
     return CubicDiagnostics(s=s, p=p, D=discriminant_from_sp(s, p))
 
@@ -269,7 +265,8 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
       x - b >= a, so x(x - a)(x - b) >= a^2 b^2 = p^2 > p(p - x), and
       P(x) > 0 with x > a: x > r.
     """
-    _require_positive(v, w)
+    if v < 1 or w < 1:
+        raise ValueError(f"class sizes must be >= 1, got v={v} w={w}")
     if girth_target not in (6, 8):
         raise ValueError(f"girth target must be 6 or 8, got {girth_target}")
     a, b = (v, w) if v >= w else (w, v)

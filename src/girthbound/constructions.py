@@ -6,6 +6,12 @@ two finite-geometry incidence graphs over prime fields: the projective
 plane PG(2, q) (girth 6) and the symplectic generalized quadrangle W(q)
 (girth 8).
 
+The grids, PG(2, q) and W(q) compute each line's point indices in
+ascending order, and hand the lines to graphcore's row builder, which
+checks each line (ascending, within range) in C and sorts or buckets no
+pair.  The expansions, whose lines have one or two points, and
+complete_bipartite build through from_edges.
+
 Every generator is deterministic, so outputs are reproducible
 byte-for-byte.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import isqrt
 
-from .graphcore import BipartiteGraph, Graph, from_edges
+from .graphcore import BipartiteGraph, Graph, _from_lines, from_edges
 
 
 __all__ = [
@@ -62,18 +68,16 @@ def grid_incidence(t: int) -> BipartiteGraph:
 
     v = (t+1)^2, w = 2(t+1), e = 2(t+1)^2; girth 8 for t >= 1.  These are
     the generalized-quadrangle parameters with s = 1, and the cubic bound
-    is met with equality.
+    is met with equality.  Point (r, c) is index r(t+1) + c; horizontal
+    line r holds a run of t+1 indices and vertical line c every (t+1)-th
+    index from c, both ascending.
     """
     if t < 0:
         raise ValueError(f"grid parameter must be >= 0, got {t}")
     side = t + 1
-    pairs = []
-    for r in range(side):
-        for c in range(side):
-            point = r * side + c
-            pairs.append((point, r))          # horizontal line r
-            pairs.append((point, side + c))   # vertical line c
-    return from_edges(side * side, 2 * side, pairs)
+    n = side * side
+    rows = [range(r * side, r * side + side) for r in range(side)]
+    return _from_lines(n, rows + [range(c, n, side) for c in range(side)])
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
@@ -91,19 +95,20 @@ def pg2_incidence(q: int) -> BipartiteGraph:
 
     Each line's q + 1 points are solved for, not searched: in the order of
     _points, (1, a, b) is point a*q + b, (0, 1, b) point q^2 + b (row a = q)
-    and (0, 0, 1) point q^2 + q.  That is O(q^3) work, not O(q^4).
+    and (0, 0, 1) point q^2 + q, so each line's indices rise and the lines
+    go to the row builder as they are.  That is O(q^3) work, not O(q^4).
     """
     n = q * q
-    pairs = []
-    for j, (l0, l1, l2) in enumerate(_points(q, 3)):
+    lines = []
+    for l0, l1, l2 in _points(q, 3):
         if l2:  # (1, a, -(l0 + l1 a) / l2) for each a, and (0, 1, -l1 / l2)
             k = -pow(l2, -1, q)
             line = [a * q + (l0 + l1 * a) * k % q for a in range(q)] + [n + l1 * k % q]
         else:  # row a = -l0 / l1, or row q when l1 = 0, and (0, 0, 1)
             a = -l0 * pow(l1, -1, q) % q if l1 else q
             line = [*range(a * q, a * q + q), n + q]
-        pairs += [(i, j) for i in line]
-    return from_edges(n + q + 1, n + q + 1, pairs)
+        lines.append(line)
+    return _from_lines(n + q + 1, lines)
 
 
 def wq_incidence(q: int) -> BipartiteGraph:
@@ -129,7 +134,7 @@ def wq_incidence(q: int) -> BipartiteGraph:
     x*q^2 + y*q + z, (0, 1, y, z) is q^3 + y*q + z, (0, 0, 1, z) is
     q^3 + q^2 + z and (0, 0, 0, 1) is q^3 + q^2 + q, so each line's
     indices rise.  Lines are numbered in the lexicographic order of those
-    indices.
+    indices, and go to the row builder in that order.
     """
     _check_prime(q)
     qq, q3 = q * q, q**3
@@ -146,8 +151,7 @@ def wq_incidence(q: int) -> BipartiteGraph:
         lines += [[h + t * q + t * c % q for t in range(q)] + [q3 + qq + c] for c in range(q)]
         lines.append([*range(h, h + q), q3 + qq + q])
     lines.sort()
-    pairs = [(i, j) for j, line in enumerate(lines) for i in line]
-    return from_edges(q3 + qq + q + 1, len(lines), pairs)
+    return _from_lines(q3 + qq + q + 1, lines)
 
 
 def _expansion_pairs(edges, w: int) -> list[tuple[int, int]]:
@@ -165,17 +169,12 @@ def unbalanced6(v: int, w: int) -> BipartiteGraph:
     girth-6 bound's second alternative with equality; girth 6 for v >= 3.
     Pendants all attach to V-vertex 0 for reproducibility.
     """
-    return from_edges(v, w, _unbalanced6_pairs(v, w))
-
-
-def _unbalanced6_pairs(v: int, w: int) -> list[tuple[int, int]]:
-    """The edges of unbalanced6(v, w), after its checks."""
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     core = v * (v - 1) // 2
     if w < core:
         raise ValueError(f"w must be >= v(v-1)/2 = {core}, got {w}")
-    return _expansion_pairs(list(combinations(range(v), 2)), w)
+    return from_edges(v, w, _expansion_pairs(list(combinations(range(v), 2)), w))
 
 
 def unbalanced8(v: int, w: int) -> BipartiteGraph:
@@ -188,15 +187,10 @@ def unbalanced8(v: int, w: int) -> BipartiteGraph:
     floor(v^2/4) + w, meeting the coarse girth-8 bound (and the unbalanced
     cap when defined) with equality; girth 8 for v >= 4.
     """
-    return from_edges(v, w, _unbalanced8_pairs(v, w))
-
-
-def _unbalanced8_pairs(v: int, w: int) -> list[tuple[int, int]]:
-    """The edges of unbalanced8(v, w), after its checks."""
     if v < 2:
         raise ValueError(f"v must be >= 2, got {v}")
     core = v * v // 4
     if w < core:
         raise ValueError(f"w must be >= floor(v^2/4) = {core}, got {w}")
     upper = (v + 1) // 2
-    return _expansion_pairs(list(product(range(upper), range(upper, v))), w)
+    return from_edges(v, w, _expansion_pairs(list(product(range(upper), range(upper, v))), w))

@@ -13,9 +13,11 @@ across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import reduce
-from operator import or_
+from itertools import islice, repeat
+from operator import lt, or_
 
 
 __all__ = [
@@ -102,17 +104,11 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "v w edges adj_v adj_w")):
             if not (0 <= i < v and 0 <= j < w):
                 _reject(v, w, pairs)
             av[i].append(j)
-        aw: list[list[int]] = [[] for _ in range(w)]
-        for i, row in enumerate(av):
+        for row in av:
             row.sort()
             if len(set(row)) < len(row):
                 _reject(v, w, pairs)
-            for j in row:  # ascending rows i give ascending lists
-                aw[j].append(i)
-        edges = tuple([(i, j) for i, row in enumerate(av) for j in row])
-        return super().__new__(
-            cls, v, w, edges, tuple(map(tuple, av)), tuple(map(tuple, aw))
-        )
+        return _assemble(v, w, av, _transpose_rows(av, w))
 
     def __getnewargs__(self):
         # pickle and copy rebuild the graph through __new__'s checks
@@ -153,6 +149,45 @@ def _reject(v: int, w: int, pairs: list) -> None:
         if (i, j) in seen:
             raise ValueError(f"duplicate edge ({i}, {j})")
         seen.add((i, j))
+
+
+def _transpose_rows(rows: list, n: int) -> list[list[int]]:
+    """The other side's n adjacency lists, given one side's ``rows``: the
+    x-th list holds the indices of the rows that hold x.  They ascend, as
+    the rows are read in order."""
+    out = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for x in row:
+            out[x].append(i)
+    return out
+
+
+def _assemble(v: int, w: int, av: list, aw: list) -> BipartiteGraph:
+    """The graph with the ascending, duplicate-free adjacency lists ``av``
+    of class V and ``aw`` of class W, which must describe the same edges.
+    It is built with ``tuple.__new__``: the callers have checked the lists,
+    and the edges listed row by row from ``av`` are already sorted."""
+    edges = tuple([(i, j) for i, row in enumerate(av) for j in row])
+    return tuple.__new__(
+        BipartiteGraph, (v, w, edges, tuple(map(tuple, av)), tuple(map(tuple, aw)))
+    )
+
+
+def _from_lines(v: int, lines: list) -> BipartiteGraph:
+    """The graph whose W-vertex j has the V-neighbours ``lines[j]``.
+
+    Each line must be strictly ascending, from at least 0 to below v, or
+    ValueError names it.  Those checks, run in C per line, cover every
+    range and duplicate check ``from_edges`` makes on the same edges, and
+    no pair is bucketed or sorted: the geometry families hand in their
+    lines as they solve them.
+    """
+    for line in lines:
+        if line and not (
+            line[0] >= 0 and line[-1] < v and all(map(lt, line, islice(line, 1, None)))
+        ):
+            raise ValueError(f"line {line} is not strictly ascending within 0..{v - 1}")
+    return _assemble(v, len(lines), _transpose_rows(lines, v), lines)
 
 
 class GirthReport(namedtuple("GirthReport", "girth")):
@@ -219,8 +254,11 @@ def _cyclic_components(g: BipartiteGraph):
 
     ``adj_v[x]`` lists the local indices of the W-neighbours of the
     component's x-th V-vertex, ``adj_w[y]`` those of the V-neighbours of
-    its y-th W-vertex.  Every cycle has a V-vertex, so the traversal starts
-    only from V-vertices; one component is held at a time.
+    its y-th W-vertex.  A component that spans all of g, as every family
+    member does, is yielded as g's own ``(g.adj_v, g.adj_w)``, with no
+    relabelling: its local indices would only permute g's, and the girth
+    does not depend on the labels.  Every cycle has a V-vertex, so the
+    traversal starts only from V-vertices; one component is held at a time.
     """
     loc_v = [-1] * g.v  # local index within the component, -1 if unseen
     loc_w = [-1] * g.w
@@ -241,6 +279,9 @@ def _cyclic_components(g: BipartiteGraph):
                             comp_v.append(x)
         if sum(len(g.adj_v[i]) for i in comp_v) < len(comp_v) + len(comp_w):
             continue  # a tree
+        if len(comp_v) == g.v and len(comp_w) == g.w:
+            yield g.adj_v, g.adj_w
+            return
         yield (
             [[loc_w[j] for j in g.adj_v[i]] for i in comp_v],
             [[loc_v[i] for i in g.adj_w[j]] for j in comp_w],
@@ -343,20 +384,24 @@ def contract(g: BipartiteGraph) -> Graph:
     is exactly the sum of C(d(y), 2) over W-vertices y.
 
     Built row by row: the neighbours of V-vertex x above x are the entries
-    above x in the union of the V-lists of x's W-neighbours.  Taking x in
-    ascending order and each union sorted gives the sorted, duplicate-free
-    edge tuple directly, and pairs drawn from a validated graph cannot fail
-    the checks of ``Graph(n, pairs)``, so the result is built with
-    ``tuple.__new__``, which skips them.  That is safe only because these
-    pairs are checked by construction; ``Graph._make`` refuses.
+    above x in the union of the V-lists of x's W-neighbours.  Each list is
+    sorted, so its entries above x are one slice, past ``bisect_right``.
+    Taking x in ascending order and each union sorted gives the sorted,
+    duplicate-free edge tuple directly, and pairs drawn from a validated
+    graph cannot fail the checks of ``Graph(n, pairs)``, so the result is
+    built with ``tuple.__new__``, which skips them.  That is safe only
+    because these pairs are checked by construction; ``Graph._make``
+    refuses.
     """
     adj_w = g.adj_w
-    edges = tuple(
-        (x, z)
-        for x, nbrs in enumerate(g.adj_v)
-        for z in sorted({z for y in nbrs for z in adj_w[y] if z > x})
-    )
-    return tuple.__new__(Graph, (g.v, edges))
+    edges = []
+    for x, nbrs in enumerate(g.adj_v):
+        row = set()
+        for y in nbrs:
+            col = adj_w[y]
+            row.update(col[bisect_right(col, x):])
+        edges += zip(repeat(x), sorted(row))
+    return tuple.__new__(Graph, (g.v, tuple(edges)))
 
 
 def verify_weak_gq(g: BipartiteGraph) -> bool:

@@ -345,24 +345,31 @@ def _search(
             f" recursion limit of {sys.getrecursionlimit()}"
         ) from None
     pairs = [(i, j) for j, mask in enumerate(best_masks) for i in range(rows) if mask >> i & 1]
-    return _certificate(v, w, min_girth, pairs, exhaustive, nodes, start)
+    witness = graphcore.from_edges(rows, cols, pairs)
+    return _certificate(v, w, min_girth, witness, exhaustive, nodes, start)
 
 
 def _certificate(
     v: int,
     w: int,
     min_girth: int,
-    pairs: list[tuple[int, int]],
+    witness: graphcore.BipartiteGraph,
     exhaustive: bool,
     nodes: int,
     start: float,
 ) -> SearchCertificate:
-    """The certificate whose witness has the edges ``pairs``, given as
-    (row, column) with no more rows than columns and transposed here for
-    v > w, after graphcore.girth has checked the witness against the floor."""
+    """The certificate for ``witness``, given with no more rows than
+    columns and transposed here for v > w, after graphcore.girth has
+    checked it against the floor.
+
+    The transpose swaps the validated adjacency tuples and lists its edges
+    from the old ``adj_w``, whose rows ascend, so they come out sorted; like
+    graphcore.contract, it is built with ``tuple.__new__`` in O(e) and
+    repeats no check the witness has passed."""
     if v > w:
-        pairs = [(j, i) for i, j in pairs]
-    witness = graphcore.from_edges(v, w, pairs)
+        adj_v, adj_w = witness.adj_w, witness.adj_v
+        edges = tuple([(i, j) for i, row in enumerate(adj_v) for j in row])
+        witness = tuple.__new__(graphcore.BipartiteGraph, (v, w, edges, adj_v, adj_w))
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:
         raise RuntimeError(
@@ -408,10 +415,10 @@ def max_size(
 
     start = time.monotonic()
     if min_girth == 8 and b >= 2:
-        pairs = constructions._unbalanced8_pairs(b, a)
+        witness = constructions.unbalanced8(b, a)
     else:  # girth 6, or a star
-        pairs = constructions._unbalanced6_pairs(b, a)
-    cert = _certificate(v, w, min_girth, pairs, True, 0, start)
+        witness = constructions.unbalanced6(b, a)
+    cert = _certificate(v, w, min_girth, witness, True, 0, start)
     if cert.e_max != cap:
         raise RuntimeError(
             f"internal error: construction has {cert.e_max} edges, not the bound {cap}"

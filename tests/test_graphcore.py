@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -117,6 +118,19 @@ class TestFromEdges:
             from_edges(2, 2, [(2, 0)])
         with pytest.raises(ValueError, match=r"\(0, -1\) out of range"):
             from_edges(2, 2, [(0, -1)])
+
+    def test_a_line_out_of_order_or_range_is_rejected(self):
+        # The geometry families' row builder: each line must ascend
+        # strictly within range(v), which excludes a descending line, a
+        # repeated index, a negative index and an index >= v.
+        for line in ([1, 0], [0, 0], [-1, 1], [0, 3]):
+            with pytest.raises(ValueError, match=re.escape(f"line {line} is not strictly")):
+                graphcore._from_lines(3, [[0, 2], line])
+
+    def test_lines_give_the_graph_of_their_edges(self):
+        g = graphcore._from_lines(3, [[0, 2], [], [1]])
+        assert g == from_edges(3, 3, [(2, 0), (1, 2), (0, 0)])
+        assert g.adj_w == ((0, 2), (), (1,))
 
     def test_edges_and_adjacency_agree(self):
         rng = random.Random(7)
@@ -311,6 +325,15 @@ class TestGirth:
         want = [girth(g) for g in girth_corpus]
         monkeypatch.setattr(graphcore, "_SOURCE_BATCH", batch)
         assert [girth(g) for g in girth_corpus] == want
+
+    def test_a_connected_graph_is_swept_on_its_own_adjacency(self):
+        # One component spanning g is g itself, with no relabelled copy; an
+        # isolated vertex sends the same edges down the relabelling path.
+        g = wq_incidence(3)
+        ((adj_v, adj_w),) = graphcore._cyclic_components(g)
+        assert adj_v is g.adj_v and adj_w is g.adj_w
+        ((adj_v, adj_w),) = graphcore._cyclic_components(from_edges(g.v + 1, g.w, g.edges))
+        assert isinstance(adj_v, list) and (len(adj_v), len(adj_w)) == (g.v, g.w)
 
     def test_several_cyclic_components_against_the_oracle(self):
         # Each component's sweep stops once twice its level reaches the best

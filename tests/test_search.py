@@ -302,12 +302,14 @@ class TestUnbalancedRegime:
     def test_a_construction_off_the_bound_or_the_floor_is_an_internal_error(self, monkeypatch):
         from girthbound import constructions
 
-        # g6 3x2: b = 2, h = 1, and the bound is a + h = 4.
-        monkeypatch.setattr(constructions, "_unbalanced6_pairs", lambda v, w: [(0, 0)])
+        # g6 3x2: b = 2, h = 1, and the bound is a + h = 4.  The family
+        # member is built as (b, a) and transposed.
+        one_edge = from_edges(2, 3, [(0, 0)])
+        monkeypatch.setattr(constructions, "unbalanced6", lambda v, w: one_edge)
         with pytest.raises(RuntimeError, match="construction has 1 edges, not the bound 4"):
             max_size(3, 2, 6)
-        square = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        monkeypatch.setattr(constructions, "_unbalanced6_pairs", lambda v, w: square)
+        square = from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        monkeypatch.setattr(constructions, "unbalanced6", lambda v, w: square)
         with pytest.raises(RuntimeError, match="witness girth 4 below floor 6"):
             max_size(2, 2, 6)
 
