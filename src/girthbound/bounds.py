@@ -2,9 +2,9 @@
 
 Everything is arbitrary-precision integer arithmetic except the balanced
 approximation, which is documented floating point.  Bound certificates must
-be exact, so no bound value ever passes through a float; one float picks
-where the exact cube-root descent starts, and an exact evaluation checks
-that start (bound_report).
+be exact, so no bound value is taken from a float unchecked: for vw < 2^45
+one float puts the coarse girth-8 cube root within one unit, and one exact
+comparison settles that unit (proof in bound_report).
 
 Notation used throughout: a bipartite graph with classes of sizes v and w
 and e edges.  The girth-6 quadratic is O(v, w, e) = e^2 - w*e - v*w*(v-1);
@@ -99,14 +99,11 @@ def girth8_coarse_bound(v: int, w: int) -> int:
     return bound_report(v, w, 8).values["coarse"]
 
 
-def _descend(s: int, t: int, c: int, x: int, above: int) -> int:
+def _descend(s: int, t: int, c: int, x: int) -> int:
     """Largest integer x with x^3 - s x^2 + t x - c <= 0, by integer Newton
-    steps down from the start x if the cubic is positive there, else from
-    ``above``, an integer proven above the root (proofs in bound_report)."""
+    steps down from a start x proven above the root (proofs in
+    bound_report)."""
     value = x * (x * (x - s) + t) - c
-    if value <= 0:
-        x = above
-        value = x * (x * (x - s) + t) - c
     while value > 0:
         x -= value // (x * (3 * x - 2 * s) + t) or 1
         value = x * (x * (x - s) + t) - c
@@ -227,23 +224,25 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     12x - 4s - 8 - F'(x).  F'(x) >= x^2 in both uses below, so this is
     negative once x >= 12, and at most two unit steps follow.  The loop
     stops at the first x with F(x) <= 0, which is floor(r).  Only
-    integers are involved.  _descend takes a start and a proven start: its
-    first exact evaluation keeps the start only if F is positive there,
-    which puts it above r, and otherwise it begins at the proven start.
+    integers are involved.  _descend takes one start, proven above r in
+    each use below.
 
-    - The cube root (s = t = 0, c = 2p^2, x0 = 0): x^3 - c is increasing
-      and convex for x >= 0, F'(x) = 3x^2, and the proven start
-      x = 2^ceil(bitlen(c) / 3) has x^3 >= 2^bitlen(c) > c.  So the result
-      is the largest m with m^3 <= 2p^2, the coarse girth-8 value, used
-      when a < q.  As c >= 2^(bitlen(c) - 1), that start can lie twice
-      above r, so for p < 2^45 the descent starts at int(f (1 + 2^-40)) + 1
-      instead, with f the float c ** (1/3).  The float only picks the
-      start, which the exact evaluation checks.  Here c < 2^91 converts
-      without overflow, r < 2^31, and f is within a relative 2^-48 of r
-      (from rounding c, 1/3 and pow), so f (1 + 2^-40) lies in
-      (r, r + 2^-8]: the start is floor(r) + 1, or floor(r) + 2 when the
-      fraction of r exceeds 1 - 2^-8, and two exact evaluations end the
-      descent.  A less accurate pow would cost steps, never the result.
+    - The cube root (c = 2p^2), the coarse girth-8 value when a < q: the
+      largest m with m^3 <= c, which is floor(r) for r = c^(1/3).  For
+      p < 2^45 no descent is needed.  Here c < 2^91 converts without
+      overflow, r < 2^31, and the float f = c ** (1/3) is within a relative
+      2^-48 of r (from rounding c, 1/3 and pow), so f (1 + 2^-40) lies in
+      (r, r + 2^-8].  Its integer part m is floor(r), or floor(r) + 1 when
+      the fraction of r exceeds 1 - 2^-8, and of the two only
+      floor(r) + 1 > r has m^3 > c: one exact test, then m -= 1 if it
+      holds, gives floor(r).  Both cases occur: 2 * 432^2 = 72^3 at 18 x 24
+      gives floor(r) itself, and (16777219, 65536) gives floor(r) + 1.
+      The result rests on that error bound, which a pow accurate to a few
+      units in the last place meets.  For p >= 2^45 the descent runs with
+      s = t = 0 and x0 = 0 (x^3 - c is increasing and convex for x >= 0,
+      F'(x) = 3x^2) from the proven start x = 2^ceil(bitlen(c) / 3), with
+      x^3 >= 2^bitlen(c) > c; as c >= 2^(bitlen(c) - 1), that start can
+      lie twice above r.
     - The cubic (s = a + b, t = 2p, c = p^2, x0 = a): F = P(v, w, .) and
       P(x) = x(x - a)(x - b) + p(x - p).  P(a) = p(a - p) <= 0, and on
       [a, oo) P is convex and increasing, with
@@ -282,15 +281,17 @@ def bound_report(v: int, w: int, girth_target: int) -> BoundReport:
     q = b * b // 4
     if a >= q:
         coarse = a + q
-        start = a + 4 * q + 1
-        cubic = _descend(a + b, 2 * p, p * p, start, start)
+        cubic = _descend(a + b, 2 * p, p * p, a + 4 * q + 1)
         values = {"reiman": reiman, "cubic": cubic, "cap": coarse, "coarse": coarse}
     else:
         c = 2 * p * p
-        above = 1 << -(-c.bit_length() // 3)
-        start = int(c ** (1 / 3) * (1 + 2 ** -40)) + 1 if p < 1 << 45 else above
-        coarse = _descend(0, 0, c, start, above)
-        cubic = _descend(a + b, 2 * p, p * p, coarse + 1, coarse + 1)
+        if p < 1 << 45:
+            coarse = int(c ** (1 / 3) * (1 + 2 ** -40))
+            if coarse * coarse * coarse > c:
+                coarse -= 1
+        else:
+            coarse = _descend(0, 0, c, 1 << -(-c.bit_length() // 3))
+        cubic = _descend(a + b, 2 * p, p * p, coarse + 1)
         values = {"reiman": reiman, "cubic": cubic, "coarse": coarse}
     low, binding = (cubic, "cubic") if cubic < reiman else (reiman, "reiman")
     if coarse < low:

@@ -13,7 +13,6 @@ across threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from functools import reduce
 from itertools import islice, repeat
@@ -383,24 +382,22 @@ def contract(g: BipartiteGraph) -> Graph:
     Without 4-cycles the common neighbour is unique, so the contracted size
     is exactly the sum of C(d(y), 2) over W-vertices y.
 
-    Built row by row: the neighbours of V-vertex x above x are the entries
-    above x in the union of the V-lists of x's W-neighbours.  Each list is
-    sorted, so its entries above x are one slice, past ``bisect_right``.
-    Taking x in ascending order and each union sorted gives the sorted,
-    duplicate-free edge tuple directly, and pairs drawn from a validated
-    graph cannot fail the checks of ``Graph(n, pairs)``, so the result is
-    built with ``tuple.__new__``, which skips them.  That is safe only
-    because these pairs are checked by construction; ``Graph._make``
-    refuses.
+    Built column by column: each W-vertex's sorted V-list hands every
+    entry x the entries after it, which are x's contraction neighbours
+    above x through that column.  Each row is then made duplicate-free and
+    sorted; taking x in ascending order gives the sorted, duplicate-free
+    edge tuple directly, and pairs drawn from a validated graph cannot fail
+    the checks of ``Graph(n, pairs)``, so the result is built with
+    ``tuple.__new__``, which skips them.  That is safe only because these
+    pairs are checked by construction; ``Graph._make`` refuses.
     """
-    adj_w = g.adj_w
+    rows = [[] for _ in range(g.v)]
+    for col in g.adj_w:
+        for k, x in enumerate(col, 1):
+            rows[x] += col[k:]
     edges = []
-    for x, nbrs in enumerate(g.adj_v):
-        row = set()
-        for y in nbrs:
-            col = adj_w[y]
-            row.update(col[bisect_right(col, x):])
-        edges += zip(repeat(x), sorted(row))
+    for x, row in enumerate(rows):
+        edges += zip(repeat(x), sorted(set(row)))
     return tuple.__new__(Graph, (g.v, tuple(edges)))
 
 

@@ -147,38 +147,44 @@ class TestCubicMaxE:
 
 
 class TestIcbrt:
-    # The coarse girth-8 bound's cube root: bound_report's Newton descent
-    # with s = t = 0, from a start x when x^3 > n, else from the proven
-    # start 2^ceil(bitlen(n) / 3).
+    # The coarse girth-8 bound's cube root when vw >= 2^45: bound_report's
+    # Newton descent with s = t = 0, from a start at or above the root.
     @staticmethod
     def icbrt(n, x):
-        return bounds._descend(0, 0, n, x, 1 << -(-n.bit_length() // 3))
+        return bounds._descend(0, 0, n, x)
 
     @staticmethod
-    def starts(m):
-        # Below, at and above the root floor m, and far above it.
-        return (0, m - 1, m, m + 1, m + 2, 2 * m + 5)
+    def starts(n, m):
+        # At and just above the root floor m, far above it, and the proven
+        # start 2^ceil(bitlen(n) / 3).
+        return (m, m + 1, m + 2, 2 * m + 5, 1 << -(-n.bit_length() // 3))
 
     def test_small_values(self):
         m = 0
         for n in range(20001):
             if (m + 1) ** 3 <= n:
                 m += 1
-            for x in self.starts(m):
+            for x in self.starts(n, m):
                 assert self.icbrt(n, x) == m, (n, x)
 
     def test_around_big_cubes(self):
         for m in (2, 3, 2 ** 20, 10 ** 40 + 3, 3 ** 300, 7 ** 1000):
             n = m ** 3
-            for x in self.starts(m):
+            for x in self.starts(n, m):
                 assert self.icbrt(n - 1, x) == m - 1
                 assert self.icbrt(n, x) == self.icbrt(n + 1, x) == m
 
     def test_exact_cubes_through_the_report(self):
-        # 2(vw)^2 is a cube exactly when vw = 2j^3, and then coarse = 2j^2:
-        # (4, 4) has 2 * 16^2 = 8^3 and (6, 9) has 2 * 54^2 = 18^3.
+        # 2(vw)^2 is a cube exactly when vw = 2j^3, and then coarse = 2j^2.
+        # (4, 4), 2 * 16^2 = 8^3, and (6, 9), 2 * 54^2 = 18^3, sit on the
+        # branch boundary max = floor(min^2 / 4), where the cap gives the
+        # same value.  (18, 24) and (16, 27), 2 * 432^2 = 72^3, are in the
+        # cube-root branch below 2^45: the float candidate is the root
+        # itself and must not be stepped down.  The last pair descends.
         k = 10 ** 40 + 1
-        for v, w, m in ((4, 4, 8), (6, 9, 18), (9, 6, 18), (4 * k ** 3, 4 * k ** 3, 8 * k ** 4)):
+        cells = [(4, 4, 8), (6, 9, 18), (9, 6, 18), (18, 24, 72), (24, 18, 72)]
+        cells += [(16, 27, 72), (27, 16, 72), (4 * k ** 3, 4 * k ** 3, 8 * k ** 4)]
+        for v, w, m in cells:
             assert bound_report(v, w, 8).values["coarse"] == m
             assert m ** 3 == 2 * (v * w) ** 2
             check_girth8_cell(v, w)
@@ -438,12 +444,12 @@ def check_girth8_cell(v, w):
 @pytest.fixture
 def descents(monkeypatch):
     """The calls bound_report makes to bounds._descend, each as
-    (s, t, c, start, proven start, result)."""
+    (s, t, c, start, result)."""
     calls = []
     descend = bounds._descend
 
-    def record(s, t, c, x, above):
-        calls.append((s, t, c, x, above, descend(s, t, c, x, above)))
+    def record(s, t, c, x):
+        calls.append((s, t, c, x, descend(s, t, c, x)))
         return calls[-1][-1]
 
     monkeypatch.setattr(bounds, "_descend", record)
@@ -453,24 +459,23 @@ def descents(monkeypatch):
 def check_girth8_starts(descents, v, w):
     """Check the girth-8 cell (v, w) and where its descents start.
 
-    Both starts of each descent lie above the root, where the cubic F is
-    positive, so no descent falls back.  Upper limits, with r the result:
-    the cube root starts at r + 1 or r + 2 when vw < 2^45, and at most at
-    2(r + 1) from 2^ceil(bitlen(c) / 3) otherwise; the cubic starts at the
+    Each descent starts above its root, where the cubic F is positive.  The
+    cube root descends only when max < floor(min^2 / 4) and vw >= 2^45,
+    before the cubic, from 2^ceil(bitlen(c) / 3) <= 2(r + 1), with r the
+    result; below 2^45 it makes no descent.  The cubic starts at the
     coarse value m + 1 <= 2^(1/3) (r + 1) + 1 when max < floor(min^2 / 4),
     and below 3r from max + 4 floor(min^2 / 4) + 1 otherwise."""
-    descents.clear()
     check_girth8_cell(v, w)
+    descents.clear()
+    bound_report(v, w, 8)
     a, b = max(v, w), min(v, w)
     unbalanced = a >= b * b // 4
-    assert descents and all(call[0] for call in descents) == unbalanced
-    for s, t, c, x, above, r in descents:
-        for start in (x, above):
-            assert start * (start * (start - s) + t) - c > 0, (v, w, s, start)
-        if s == 0 and v * w < 2 ** 45:
-            assert r + 1 <= x <= r + 2, (v, w, x, r)
-        elif s == 0:
-            assert x == above <= 2 * (r + 1), (v, w, x, r)
+    cube_root = not unbalanced and v * w >= 2 ** 45
+    assert [call[0] == 0 for call in descents] == [True] * cube_root + [False], (v, w)
+    for s, t, c, x, r in descents:
+        assert x * (x * (x - s) + t) - c > 0, (v, w, s, x)
+        if s == 0:
+            assert x == 1 << -(-c.bit_length() // 3) <= 2 * (r + 1), (v, w, x, r)
         elif not unbalanced:
             assert (x - 1) ** 3 <= 2 * (r + 1) ** 3, (v, w, x, r)
         else:
@@ -478,18 +483,40 @@ def check_girth8_starts(descents, v, w):
 
 
 class TestGirth8Starts:
-    # bound_report takes the cube root from a float start checked by an
-    # exact evaluation, and inverts the cubic from the coarse value m + 1
-    # when max < floor(min^2 / 4), and from max + 4 floor(min^2 / 4) + 1
-    # otherwise; every start must lie above its root, and not far above.
+    # bound_report takes the cube root below 2^45 from a float candidate
+    # and one exact test, and by a descent above; it inverts the cubic from
+    # the coarse value m + 1 when max < floor(min^2 / 4), and from
+    # max + 4 floor(min^2 / 4) + 1 otherwise.  Every start must lie above
+    # its root, and not far above.
 
     def test_starts_lie_above_the_root(self, descents):
         cube_root_branch = 0
         for v in range(1, 301):
             for w in range(1, 301):
                 check_girth8_starts(descents, v, w)
-                cube_root_branch += descents[0][0] == 0
+                a, b = max(v, w), min(v, w)
+                cube_root_branch += a < b * b // 4
         assert cube_root_branch > 60000
+
+    def test_the_cube_root_descends_only_from_2_to_the_45(self, descents):
+        # b = 2^23, q = 2^44: a = 2^22 - 1 gives vw = 2^45 - 2^23, the
+        # float branch, and a = 2^22 gives vw = 2^45, the descent.
+        b = 1 << 23
+        for a, count in ((b // 2 - 1, 0), (b // 2, 1)):
+            for v, w in ((a, b), (b, a)):
+                check_girth8_starts(descents, v, w)
+                assert sum(call[0] == 0 for call in descents) == count
+
+    def test_a_float_candidate_one_too_high_is_stepped_down(self, descents):
+        # vw = (2^24 + 3) * 2^16 < 2^45 and max < floor(min^2 / 4) = 2^30.
+        # The float candidate is floor(r) + 1, so the exact test must take
+        # the step; no cell with v, w <= 300 does.
+        v, w = 16777219, 65536
+        c = 2 * (v * w) ** 2
+        assert int(c ** (1 / 3) * (1 + 2 ** -40)) == 134217744
+        for x, y in ((v, w), (w, v)):
+            check_girth8_starts(descents, x, y)
+            assert bound_report(x, y, 8).values["coarse"] == 134217743
 
     def test_branch_boundary(self, descents):
         # a = q - 1, q, q + 1 around q = floor(b^2 / 4): the cap applies from
