@@ -6,11 +6,12 @@ two finite-geometry incidence graphs over prime fields: the projective
 plane PG(2, q) (girth 6) and the symplectic generalized quadrangle W(q)
 (girth 8).
 
-The grids, PG(2, q) and W(q) compute each line's point indices in
-ascending order, and hand the lines to graphcore's row builder, which
-checks each line (ascending, within range) in C and sorts or buckets no
-pair.  The expansions, whose lines have one or two points, and
-complete_bipartite build through from_edges.
+Every family computes each line's point indices in ascending order (a
+line is the V-neighbours of one W-vertex) and hands the lines to
+graphcore's row builder, which checks each line (ascending, within range)
+in C and sorts or buckets no pair.  An expansion's lines are the edges of
+its graph, and each pendant W-vertex of the unbalanced families is the
+line (0,).
 
 Every generator is deterministic, so outputs are reproducible
 byte-for-byte.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import isqrt
 
-from .graphcore import BipartiteGraph, Graph, _from_lines, from_edges
+from .graphcore import BipartiteGraph, Graph, _from_lines
 
 
 __all__ = [
@@ -58,8 +59,9 @@ def expand(g: Graph) -> BipartiteGraph:
 
     Every W-vertex gets degree exactly 2 (its two endpoints), so the size
     doubles and so does the girth (the expansion is the edge subdivision).
+    W-vertex k is edge k, whose pair (a, b), a < b, is already a line.
     """
-    return from_edges(g.n, g.e, _expansion_pairs(g.edges, g.e))
+    return _from_lines(g.n, g.edges)
 
 
 def grid_incidence(t: int) -> BipartiteGraph:
@@ -82,7 +84,9 @@ def grid_incidence(t: int) -> BipartiteGraph:
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     """K_{a,b} with all a*b edges."""
-    return from_edges(a, b, [(i, j) for i in range(a) for j in range(b)])
+    if a < 0 or b < 0:
+        raise ValueError(f"class sizes must be nonnegative, got v={a} w={b}")
+    return _from_lines(a, [range(a)] * b)
 
 
 def pg2_incidence(q: int) -> BipartiteGraph:
@@ -154,14 +158,6 @@ def wq_incidence(q: int) -> BipartiteGraph:
     return _from_lines(q3 + qq + q + 1, lines)
 
 
-def _expansion_pairs(edges, w: int) -> list[tuple[int, int]]:
-    """Edges of the expansion of the sorted edge list ``edges`` (W-vertex k
-    is edge k), padded up to w W-vertices with pendants on V-vertex 0."""
-    pairs = [(x, k) for k, edge in enumerate(edges) for x in edge]
-    pairs += [(0, k) for k in range(len(edges), w)]
-    return pairs
-
-
 def unbalanced6(v: int, w: int) -> BipartiteGraph:
     """Expansion of the complete graph K_v padded with pendant W-vertices.
 
@@ -174,7 +170,7 @@ def unbalanced6(v: int, w: int) -> BipartiteGraph:
     core = v * (v - 1) // 2
     if w < core:
         raise ValueError(f"w must be >= v(v-1)/2 = {core}, got {w}")
-    return from_edges(v, w, _expansion_pairs(list(combinations(range(v), 2)), w))
+    return _from_lines(v, [*combinations(range(v), 2)] + [(0,)] * (w - core))
 
 
 def unbalanced8(v: int, w: int) -> BipartiteGraph:
@@ -193,4 +189,4 @@ def unbalanced8(v: int, w: int) -> BipartiteGraph:
     if w < core:
         raise ValueError(f"w must be >= floor(v^2/4) = {core}, got {w}")
     upper = (v + 1) // 2
-    return from_edges(v, w, _expansion_pairs(list(product(range(upper), range(upper, v))), w))
+    return _from_lines(v, [*product(range(upper), range(upper, v))] + [(0,)] * (w - core))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import islice, repeat
+from itertools import repeat
 from operator import lt, or_
 
 
@@ -165,7 +165,9 @@ def _assemble(v: int, w: int, av: list, aw: list) -> BipartiteGraph:
     """The graph with the ascending, duplicate-free adjacency lists ``av``
     of class V and ``aw`` of class W, which must describe the same edges.
     It is built with ``tuple.__new__``: the callers have checked the lists,
-    and the edges listed row by row from ``av`` are already sorted."""
+    and the edges listed row by row from ``av`` are already sorted.  Its
+    callers are ``BipartiteGraph.__new__``, ``_from_lines`` and
+    ``search._certificate``, which transposes a validated witness."""
     edges = tuple([(i, j) for i, row in enumerate(av) for j in row])
     return tuple.__new__(
         BipartiteGraph, (v, w, edges, tuple(map(tuple, av)), tuple(map(tuple, aw)))
@@ -178,13 +180,14 @@ def _from_lines(v: int, lines: list) -> BipartiteGraph:
     Each line must be strictly ascending, from at least 0 to below v, or
     ValueError names it.  Those checks, run in C per line, cover every
     range and duplicate check ``from_edges`` makes on the same edges, and
-    no pair is bucketed or sorted: the geometry families hand in their
-    lines as they solve them.
+    no pair is bucketed or sorted.  Every internal builder hands its lines
+    in here: each family as it solves them, the search its witness's
+    columns, and ``prune_min_degree`` its residual.  Only input from
+    outside the package (``from_edges``, ``from_json``) is bucketed, by
+    ``BipartiteGraph.__new__``.
     """
     for line in lines:
-        if line and not (
-            line[0] >= 0 and line[-1] < v and all(map(lt, line, islice(line, 1, None)))
-        ):
+        if line and not (line[0] >= 0 and line[-1] < v and all(map(lt, line, line[1:]))):
             raise ValueError(f"line {line} is not strictly ascending within 0..{v - 1}")
     return _assemble(v, len(lines), _transpose_rows(lines, v), lines)
 
@@ -368,11 +371,9 @@ def prune_min_degree(g: BipartiteGraph, k: int) -> tuple[BipartiteGraph, int]:
             deg[1 - s][y] -= 1
             if deg[1 - s][y] == k - 1:
                 pending.append((1 - s, y))
-    new_i, new_j = (
-        {x: n for n, x in enumerate(x for x, d in enumerate(side) if d >= k)} for side in deg
-    )
-    kept = [(new_i[i], new_j[j]) for i, j in g.edges if i in new_i and j in new_j]
-    residual = BipartiteGraph(len(new_i), len(new_j), kept)
+    new_i = {x: n for n, x in enumerate(x for x, d in enumerate(deg[0]) if d >= k)}
+    lines = [[new_i[i] for i in g.adj_w[j] if i in new_i] for j, d in enumerate(deg[1]) if d >= k]
+    residual = _from_lines(len(new_i), lines)
     return residual, g.e - residual.e
 
 

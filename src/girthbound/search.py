@@ -344,8 +344,8 @@ def _search(
             f"search on v={v} w={w} recurses once per edge, past Python's"
             f" recursion limit of {sys.getrecursionlimit()}"
         ) from None
-    pairs = [(i, j) for j, mask in enumerate(best_masks) for i in range(rows) if mask >> i & 1]
-    witness = graphcore.from_edges(rows, cols, pairs)
+    lines = [[i for i in range(rows) if mask >> i & 1] for mask in best_masks]
+    witness = graphcore._from_lines(rows, lines + [()] * (cols - len(lines)))
     return _certificate(v, w, min_girth, witness, exhaustive, nodes, start)
 
 
@@ -362,14 +362,11 @@ def _certificate(
     columns and transposed here for v > w, after graphcore.girth has
     checked it against the floor.
 
-    The transpose swaps the validated adjacency tuples and lists its edges
-    from the old ``adj_w``, whose rows ascend, so they come out sorted; like
-    graphcore.contract, it is built with ``tuple.__new__`` in O(e) and
-    repeats no check the witness has passed."""
+    The transpose hands the validated adjacency tuples, swapped, to
+    graphcore's assembler, which lists the edges from the old ``adj_w`` in
+    O(e) and repeats no check the witness has passed."""
     if v > w:
-        adj_v, adj_w = witness.adj_w, witness.adj_v
-        edges = tuple([(i, j) for i, row in enumerate(adj_v) for j in row])
-        witness = tuple.__new__(graphcore.BipartiteGraph, (v, w, edges, adj_v, adj_w))
+        witness = graphcore._assemble(v, w, witness.adj_w, witness.adj_v)
     report = graphcore.girth(witness)
     if report.girth is not None and report.girth < min_girth:
         raise RuntimeError(

@@ -245,6 +245,15 @@ class TestConstructVerifyRoundTrip:
         assert code == 2 and err.startswith("error:") and "over the limit" in err
         assert not out.exists()
 
+    def test_negative_complete_size_is_refused(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "construct", "complete", "--a", "-1", "--b", "3", "--out", str(out)
+        )
+        assert code == 2
+        assert err == "error: class sizes must be nonnegative, got v=-1 w=3\n"
+        assert not out.exists()
+
     def test_oversize_expansion_is_refused(self, capsys, tmp_path, monkeypatch):
         # K_4 expands to v=4 w=6 e=12: over a limit of 5, as K_1416's
         # 1,001,820 edges are over the real one, so verify would refuse it.
@@ -390,10 +399,11 @@ class TestSearch:
         assert payload["exhaustive"] is False
 
     def test_class_above_the_limit_is_refused(self, capsys, monkeypatch):
+        # Every build path, _from_lines included, ends in _assemble.
         def no_witness(*args):
             raise AssertionError("a witness was built")
 
-        monkeypatch.setattr(graphcore, "from_edges", no_witness)
+        monkeypatch.setattr(graphcore, "_assemble", no_witness)
         big = str(graphcore.MAX_JSON_CLASS_SIZE + 1)
         code, out, err = run(capsys, "search", "--v", big, "--w", "1", "--girth", "8", "--nodes", "1")
         assert (code, out) == (2, "")

@@ -149,18 +149,19 @@ class TestExpand:
 @pytest.mark.parametrize("family,v,w", [(cn.unbalanced6, 5, 12), (cn.unbalanced8, 6, 11)])
 def test_unbalanced_member_is_built_once(monkeypatch, family, v, w):
     # The core's pairs go straight into the one expansion: no Graph is
-    # validated on the way, and from_edges builds the member alone.
-    from_edges = cn.from_edges
+    # validated on the way, and one call of the row builder builds the
+    # member alone.
+    from_lines = cn._from_lines
     built = []
 
-    def counting_from_edges(*args):
-        built.append(from_edges(*args))
+    def counting_from_lines(*args):
+        built.append(from_lines(*args))
         return built[-1]
 
     def no_graph(*args):
         raise AssertionError("a Graph was built")
 
-    monkeypatch.setattr(cn, "from_edges", counting_from_edges)
+    monkeypatch.setattr(cn, "_from_lines", counting_from_lines)
     monkeypatch.setattr(cn, "Graph", no_graph)
     g = family(v, w)
     assert built == [g] and built[0] is g
@@ -352,6 +353,12 @@ class TestCompleteBipartite:
     def test_counts(self):
         g = cn.complete_bipartite(3, 4)
         assert g.e == 12
+
+    @pytest.mark.parametrize("a,b", [(-1, 3), (3, -1)])
+    def test_negative_size_is_refused(self, a, b):
+        with pytest.raises(ValueError) as exc:
+            cn.complete_bipartite(a, b)
+        assert str(exc.value) == f"class sizes must be nonnegative, got v={a} w={b}"
 
 
 class TestContractExpandBridge:

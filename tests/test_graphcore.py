@@ -120,7 +120,7 @@ class TestFromEdges:
             from_edges(2, 2, [(0, -1)])
 
     def test_a_line_out_of_order_or_range_is_rejected(self):
-        # The geometry families' row builder: each line must ascend
+        # The internal builders' row builder: each line must ascend
         # strictly within range(v), which excludes a descending line, a
         # repeated index, a negative index and an index >= v.
         for line in ([1, 0], [0, 0], [-1, 1], [0, 3]):

@@ -687,10 +687,11 @@ class TestDeterminismAndBudgets:
     def test_class_above_the_witness_limit_is_refused(self, monkeypatch, call):
         # The witness is built one list per vertex, so a class larger than
         # graphcore.from_json accepts is refused before the search starts.
+        # Every build path, _from_lines included, ends in _assemble.
         def no_witness(*args):
             raise AssertionError("a witness was built")
 
-        monkeypatch.setattr(graphcore, "from_edges", no_witness)
+        monkeypatch.setattr(graphcore, "_assemble", no_witness)
         big = graphcore.MAX_JSON_CLASS_SIZE + 1
         for v, w in ((big, 1), (1, big)):
             with pytest.raises(ValueError, match=f"at most {big - 1} vertices, got v={v} w={w}"):
