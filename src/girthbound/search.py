@@ -17,8 +17,15 @@ only when the new edge closes no cycle shorter than the floor.  The check
 runs on the paper's contraction of class V (two V-vertices joined when they
 share a W-neighbour), one bitmask per V-vertex in a list no node writes to:
 a child copies its parent's list and ORs in the pairs its edge joins (or
-shares it when the edge joins none), so nothing is undone after it, and a
-4- or 6-cycle test is one or two mask intersections.
+shares it when the edge joins none), so nothing is undone after it.  A node
+also carries its active column's degree, the previous column's, and the
+column's reach: its V-neighbours at girth 6, and at girth 8 those with
+their contraction neighbours.  An edge (i, j) into the active column j
+closes a cycle shorter than the floor iff row i's contraction mask meets
+the reach, so each 4- or 6-cycle test is one mask intersection.  The reach
+grows in O(1): a child that adds row i gains i and, at girth 8, the
+parent's contraction mask of i (the proof is at the child in rec); a child
+that opens a column starts from an empty one.
 The tree is cut by
 
   (a) a ceiling on the edges each node can still reach, from the degree
@@ -89,6 +96,7 @@ search whose graphs outgrow Python's recursion limit raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from collections import namedtuple
@@ -147,28 +155,7 @@ class BudgetExhausted(RuntimeError):
     lower bound, so certification is indeterminate."""
 
 
-def _short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
-    """Mask R for a W-vertex j with V-neighbour mask ``col_mask``: adding the
-    edge (i, j) closes a cycle shorter than ``min_girth`` iff cmask[i] & R.
-
-    ``cmask[x]`` is the set of V-vertices sharing a W-neighbour with x (x's
-    neighbourhood in the contraction) in a graph of girth >= 6.  A 4-cycle
-    through the new edge is a path i - y - x - j: a contraction neighbour
-    of i adjacent to j.  A 6-cycle is a path i - y - z - y' - x - j: a
-    contraction neighbour z of i that is a contraction neighbour of some x
-    adjacent to j.
-    """
-    if min_girth == 6:
-        return col_mask
-    reach = col_mask
-    rest = col_mask
-    while rest:
-        low = rest & -rest
-        reach |= cmask[low.bit_length() - 1]
-        rest ^= low
-    return reach
-
-
+@functools.lru_cache(maxsize=4096)
 def _slots(room: int, deg: int, grow: int, later: int) -> int:
     """Most edges that fit in ``room`` pair counts: the number of cheapest
     slots whose costs sum to at most ``room``.
@@ -176,6 +163,10 @@ def _slots(room: int, deg: int, grow: int, later: int) -> int:
     The active column, of degree ``deg``, has ``grow`` slots left, costing
     deg, deg + 1, ...; each of the ``later`` columns after it has slots
     costing 0, 1, ..., deg + grow - 1 (no later column outgrows it).
+
+    A search asks for few distinct arguments (the 668,976 calls of every
+    cell with v, w <= 9 at both girths take 968), so the loop is memoized,
+    in a cache of fixed size that no long search can grow.
     """
     k = 0
     for c in range(deg + grow):
@@ -207,25 +198,38 @@ def _explore(
     best_e, best_masks = 0, ()
     nodes = 1  # the root
     completed = True
+    far = -1 if min_girth == 8 else 0  # girth 8 also tests 6-cycles
 
-    def rec(col: int, top: int, e_cur: int, room: int, cmask: list[int]) -> bool:
+    def rec(
+        col: int,
+        top: int,
+        e_cur: int,
+        room: int,
+        cmask: list[int],
+        reach: int,
+        deg: int,
+        prev: int,
+    ) -> bool:
         """Expand a counted node whose active column ``col`` has top row
         ``top`` (-1 when empty); True stops the whole search.  ``room`` is
         C(v, 2) less the pairs of V-vertices the graph's columns cover.
         ``cmask`` is the node's contraction, which no call writes to:
-        cmask[x] holds the V-vertices that share a W-neighbour with x."""
+        cmask[x] holds the V-vertices that share a W-neighbour with x.
+        ``reach`` is the active column's cycle mask (module docstring):
+        adding row i to it closes a short cycle iff cmask[i] & reach.
+        ``deg`` is the active column's degree and ``prev`` the previous
+        column's (v for column 0), so no node counts a column's bits."""
         nonlocal nodes, best_e, best_masks, completed
         if e_cur > best_e:
             best_e = e_cur
             best_masks = tuple(amask_w[: col + 1])
             if best_e >= cap:
                 return True  # it meets a proven bound, so it is optimal
-        deg = amask_w[col].bit_count()
-        prev = amask_w[col - 1].bit_count() if col else v
         later = w - 1 - col
-        # Candidate edges in edge order, each segment with its child's slot
-        # parameters (degree, growth left, later columns, room): first grow
-        # the active column, then open the next one, which finalizes it.
+        # Candidate edges in edge order, each segment with its child's
+        # degrees, later columns, room and the cycle mask its rows are
+        # tested against: first grow the active column, then open the next
+        # one, which finalizes it and is tested against an empty mask.
         segments = []
         if deg < prev:
             rows = range(top + 1, v)
@@ -236,7 +240,7 @@ def _explore(
                 # and at or above d, with d = 0 at column 0: column 1 grows
                 # from {0} by row d, and from a top row x >= d by row x + 1.
                 rows = range(max(rows.start, prev if col else 0), v)[:1]
-            segments.append((col, rows, deg + 1, prev - deg - 1, later, room - deg))
+            segments.append((col, rows, deg + 1, prev, later, room - deg, reach))
         opens = later > 0 and deg > 0  # the root opens no column
         if opens and col and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
@@ -246,14 +250,14 @@ def _explore(
         if opens:
             # Column 1 opens only on row 0 or row d = deg(column 0).
             rows = range(0, v, deg)[:2] if col == 0 else range(v)
-            segments.append((col + 1, rows, 1, deg - 1, later - 1, room))
+            segments.append((col + 1, rows, 1, deg, later - 1, room, 0))
         e_next = e_cur + 1
-        for j, rows, child_deg, grow, after, left in segments:
+        for j, rows, child_deg, child_prev, after, left, mask in segments:
             nbrs = amask_w[j]
-            reach = _short_cycle_mask(cmask, nbrs, min_girth)
+            grow = child_prev - child_deg  # the child column's slots left
             ceiling = None
             for i in rows:
-                if cmask[i] & reach:
+                if cmask[i] & mask:
                     continue
                 # The child's ceiling falls as its top row i rises, so the
                 # first child that cannot beat best_e ends the segment.  It
@@ -277,7 +281,7 @@ def _explore(
                 ibit = 1 << i
                 amask_w[j] = nbrs | ibit
                 # Edge (i, j) joins i to each x in N(j).  The test above
-                # found cmask[i] & reach == 0 with reach holding N(j), so no
+                # found cmask[i] & mask == 0 with mask holding N(j), so no
                 # bit of N(j) is in cmask[i]; and i is in no cmask[x] for x
                 # in N(j), since x would then be in cmask[i].  So the child's
                 # contraction only gains bits.  An edge that opens a column
@@ -291,12 +295,18 @@ def _explore(
                         low = rest & -rest
                         child[low.bit_length() - 1] |= ibit
                         rest ^= low
-                if rec(j, i, e_next, left, child):
+                # The child's reach.  At girth 6 it is N'(j) = N(j) | {i}.
+                # At girth 8, with cm the parent's contraction, the child has
+                # cm'[i] = cm[i] | N(j) and cm'[x] = cm[x] | {i} for x in
+                # N(j), so N'(j) | (the union of cm'[x] over x in N'(j)) is
+                # mask | {i} | cm[i]: the parent's reach, i and cm[i].
+                child_reach = mask | ibit | (cmask[i] & far)
+                if rec(j, i, e_next, left, child, child_reach, child_deg, child_prev):
                     return True  # amask_w is left dirty: nothing reads it again
                 amask_w[j] = nbrs
         return False
 
-    rec(0, -1, 0, v * (v - 1) // 2, [0] * v)  # the empty graph shares no neighbour
+    rec(0, -1, 0, v * (v - 1) // 2, [0] * v, 0, 0, v)  # the empty graph shares no neighbour
     return best_e, best_masks, nodes, completed
 
 

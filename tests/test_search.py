@@ -51,9 +51,30 @@ def brute_force_max(v: int, w: int, min_girth: int) -> int:
     return best
 
 
+def short_cycle_mask(cmask: list[int], col_mask: int, min_girth: int) -> int:
+    """The kernel's reach, from scratch: adding the edge (i, j) to a W-vertex
+    j with V-neighbour mask ``col_mask`` closes a cycle shorter than
+    ``min_girth`` iff cmask[i] & R.
+
+    ``cmask[x]`` is the set of V-vertices sharing a W-neighbour with x (x's
+    neighbourhood in the contraction) in a graph of girth >= 6.  A 4-cycle
+    through the new edge is a path i - y - x - j: a contraction neighbour
+    of i adjacent to j.  A 6-cycle is a path i - y - z - y' - x - j: a
+    contraction neighbour z of i that is a contraction neighbour of some x
+    adjacent to j.
+    """
+    reach = col_mask
+    if min_girth == 8:
+        for x in range(len(cmask)):
+            if col_mask >> x & 1:
+                reach |= cmask[x]
+    return reach
+
+
 class TestContractionCycleTest:
-    """The kernel's cycle test, cmask[i] & _short_cycle_mask(...), against
-    the independent BFS oracle on random partial graphs of girth >= 6."""
+    """The kernel's cycle test, cmask[i] & reach, against the independent
+    BFS oracle on random partial graphs of girth >= 6, with reach both
+    from scratch and as the kernel grows it edge by edge."""
 
     def test_agrees_with_bfs_on_every_candidate_edge(self):
         rng = random.Random(20)
@@ -70,6 +91,12 @@ class TestContractionCycleTest:
             for i, j in pool[: rng.randint(0, len(pool))]:
                 if short_path_exists(adj_v, adj_w, i, j, floor - 2):
                     continue
+                # The kernel's reach for column j once it has grown by row i:
+                # the parent's, with i and, at girth 8, the parent's cmask[i].
+                grown = {
+                    g: short_cycle_mask(cmask, amask_w[j], g) | 1 << i | (cmask[i] if g == 8 else 0)
+                    for g in (6, 8)
+                }
                 # The kernel's incremental update of the contraction masks.
                 for x in adj_w[j]:
                     cmask[x] ^= 1 << i
@@ -78,6 +105,14 @@ class TestContractionCycleTest:
                 adj_v[i].append(j)
                 adj_w[j].append(i)
                 edges.append((i, j))
+                for g, reach in grown.items():
+                    assert reach == short_cycle_mask(cmask, amask_w[j], g), (v, w, edges, g)
+                    for x in range(v):
+                        if j not in adj_v[x]:
+                            closes = bool(cmask[x] & reach)
+                            assert closes == short_path_exists(adj_v, adj_w, x, j, g - 2), (
+                                v, w, floor, edges, x, g
+                            )
             expected = [0] * v
             for x, z in contract(from_edges(v, w, edges)).edges:
                 expected[x] |= 1 << z
@@ -85,7 +120,7 @@ class TestContractionCycleTest:
             assert cmask == expected
             for g in (6, 8):
                 for j in range(w):
-                    reach = search._short_cycle_mask(cmask, amask_w[j], g)
+                    reach = short_cycle_mask(cmask, amask_w[j], g)
                     for i in range(v):
                         if j in adj_v[i]:
                             continue
@@ -573,6 +608,15 @@ class TestDeterminismAndBudgets:
             ref = max_size(v, w, g, max_nodes=k + 1, max_seconds=float("inf"))
             got = (cut.e_max, cut.witness, cut.nodes_explored, cut.exhaustive)
             assert got == (ref.e_max, ref.witness, k + 1, False), k
+
+    def test_slots_cache_returns_the_loop_values(self):
+        # _slots is memoized; the loop it wraps stays the reference.
+        for room in range(81):
+            for deg in range(1, 10):
+                for grow in range(10):
+                    for later in range(10):
+                        args = (room, deg, grow, later)
+                        assert search._slots(*args) == search._slots.__wrapped__(*args), args
 
     @pytest.mark.parametrize("v,w,g,e", [(6, 8, 6, 13), (6, 7, 8, 12)])
     def test_a_node_is_a_graph_the_search_builds(self, monkeypatch, v, w, g, e):
