@@ -36,19 +36,26 @@ The tree is cut by
   (c) symmetry breaking on class W: W-vertices are used in non-increasing
       degree blocks, with lexicographically non-decreasing neighbour sets
       inside a block, so exactly one column permutation of every graph
-      survives; and on class V at columns 0 and 1: the first W-vertex's
-      neighbours are rows 0..d-1, and the second's are S | {d, ..., d+k-1}
-      with S = {0} or empty.  This loses no graph (girth >= 6): take a
-      W-vertex A of maximum degree d, then among the rest a W-vertex B of
-      greatest degree, one that meets A if any does; B meets A in at most
-      one row.  Relabel V so that A's neighbours are 0..d-1, their common
-      row (if any) is 0, and B's other neighbours are d, d+1, ...  A is
-      the least d-set in this order (the lowest differing bit lies in it),
-      so the canonical column order puts it first, and B is the least set
-      of its degree among the rest.  Against another such set C: if B
-      holds row 0 and C does not, row 0 decides; otherwise C meets A only
-      in a row B also holds (girth >= 6, and the choice of B), so C's rows
-      outside B lie above B's block d..d+k-1, and that block decides.
+      survives; and on class V at every column: rows that columns 0..j-1
+      do not tell apart (each of those columns holds both or neither)
+      enter column j as a prefix, in row order.  This loses no graph.
+      Order columns by degree, higher first, then by the lowest row in
+      which two sets differ, the set holding it first; compare column
+      sequences column by column in that order, and take G*, the least
+      sorted sequence over every relabelling of V.  Let x < y be alike in
+      columns 0..j-1 of G*, with y in column j and x not.  Swapping x and
+      y keeps columns 0..j-1 and makes column j smaller (x, the lowest
+      differing row, is now in it), so the swapped sequence, and all the
+      more its sorted form, lies below G*: a contradiction.  G* is sorted,
+      so it passes the rule on W too.  The rows alike in columns 0..j-1
+      form runs of consecutive rows, since column j splits each run into a
+      prefix and the rest, so a node carries ``heads``, a mask of the
+      first row of each run (row 0 alone at the root).  Row i may join
+      column j iff it heads its run or row i - 1 is in column j, and a
+      column of mask m, once finalized, starts runs at the bits of
+      m ^ (m << 1).  So column 0 is rows 0..d-1, and column 1, which meets
+      it in at most one row (girth >= 6), is S | {d, ..., d+k-1} with
+      S = {0} or empty.
 
 The pair count is Reiman's: under girth >= 6 two V-vertices share at most
 one W-neighbour, so the columns cover each pair of rows at most once and
@@ -209,6 +216,7 @@ def _explore(
         reach: int,
         deg: int,
         prev: int,
+        heads: int,
     ) -> bool:
         """Expand a counted node whose active column ``col`` has top row
         ``top`` (-1 when empty); True stops the whole search.  ``room`` is
@@ -218,7 +226,9 @@ def _explore(
         ``reach`` is the active column's cycle mask (module docstring):
         adding row i to it closes a short cycle iff cmask[i] & reach.
         ``deg`` is the active column's degree and ``prev`` the previous
-        column's (v for column 0), so no node counts a column's bits."""
+        column's (v for column 0), so no node counts a column's bits.
+        ``heads`` marks the first row of each run of rows that the columns
+        before ``col`` leave alike (module docstring, (c))."""
         nonlocal nodes, best_e, best_masks, completed
         if e_cur > best_e:
             best_e = e_cur
@@ -226,21 +236,14 @@ def _explore(
             if best_e >= cap:
                 return True  # it meets a proven bound, so it is optimal
         later = w - 1 - col
-        # Candidate edges in edge order, each segment with its child's
-        # degrees, later columns, room and the cycle mask its rows are
-        # tested against: first grow the active column, then open the next
-        # one, which finalizes it and is tested against an empty mask.
+        # Candidate edges in edge order, each segment with its first row,
+        # its child's run heads, degrees, later columns and room, and the
+        # cycle mask its rows are tested against: first grow the active
+        # column, then open the next one, which finalizes it and is tested
+        # against an empty mask.
         segments = []
         if deg < prev:
-            rows = range(top + 1, v)
-            if col < 2:
-                # Class V symmetry: column 0 holds rows 0..d-1, and column 1
-                # is S | {d, d+1, ...} with S {0} or empty, d = deg(column
-                # 0).  So each grows only by the next row above its top row
-                # and at or above d, with d = 0 at column 0: column 1 grows
-                # from {0} by row d, and from a top row x >= d by row x + 1.
-                rows = range(max(rows.start, prev if col else 0), v)[:1]
-            segments.append((col, rows, deg + 1, prev, later, room - deg, reach))
+            segments.append((col, top + 1, heads, deg + 1, prev, later, room - deg, reach))
         opens = later > 0 and deg > 0  # the root opens no column
         if opens and col and deg == prev:
             # The finalized pair must satisfy the block-canonical set order:
@@ -248,22 +251,23 @@ def _explore(
             diff = amask_w[col - 1] ^ amask_w[col]
             opens = not diff or amask_w[col - 1] & (diff & -diff)
         if opens:
-            # Column 1 opens only on row 0 or row d = deg(column 0).
-            rows = range(0, v, deg)[:2] if col == 0 else range(v)
-            segments.append((col + 1, rows, 1, deg, later - 1, room, 0))
+            # The finalized column splits each run where its mask changes.
+            m = amask_w[col]
+            segments.append((col + 1, 0, heads | m ^ m << 1, 1, deg, later - 1, room, 0))
         e_next = e_cur + 1
-        for j, rows, child_deg, child_prev, after, left, mask in segments:
+        for j, start, child_heads, child_deg, child_prev, after, left, mask in segments:
             nbrs = amask_w[j]
+            joins = child_heads | nbrs << 1  # run heads, and rows right above N(j)
             grow = child_prev - child_deg  # the child column's slots left
             ceiling = None
-            for i in rows:
-                if cmask[i] & mask:
+            for i in range(start, v):
+                if cmask[i] & mask or not joins >> i & 1:
                     continue
                 # The child's ceiling falls as its top row i rises, so the
                 # first child that cannot beat best_e ends the segment.  It
                 # is the same for every child with at least ``grow`` rows
                 # above it, so it is computed once, at the first child that
-                # passes the cycle test (``left`` may be negative, and
+                # passes both tests (``left`` may be negative, and
                 # _slots divide by zero, in a segment where none passes).
                 above = v - 1 - i  # the rows left above the child's top row
                 if above < grow:
@@ -301,12 +305,12 @@ def _explore(
                 # N(j), so N'(j) | (the union of cm'[x] over x in N'(j)) is
                 # mask | {i} | cm[i]: the parent's reach, i and cm[i].
                 child_reach = mask | ibit | (cmask[i] & far)
-                if rec(j, i, e_next, left, child, child_reach, child_deg, child_prev):
+                if rec(j, i, e_next, left, child, child_reach, child_deg, child_prev, child_heads):
                     return True  # amask_w is left dirty: nothing reads it again
                 amask_w[j] = nbrs
         return False
 
-    rec(0, -1, 0, v * (v - 1) // 2, [0] * v, 0, 0, v)  # the empty graph shares no neighbour
+    rec(0, -1, 0, v * (v - 1) // 2, [0] * v, 0, 0, v, 1)  # the empty graph shares no neighbour
     return best_e, best_masks, nodes, completed
 
 

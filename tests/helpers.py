@@ -307,6 +307,56 @@ def has_c6_oracle(g: BipartiteGraph) -> bool:
     return False
 
 
+def row_search_max(v: int, w: int, min_girth: int) -> int:
+    """Most edges of a bipartite graph on (v, w) vertices with girth >=
+    ``min_girth`` (6 or 8), by a search that shares no code, order,
+    symmetry rule or bound with girthbound.search.
+
+    It chooses the V-vertices one at a time, each as its set of
+    W-neighbours (an int mask), in non-increasing (size, value) order,
+    which every graph has once V is relabelled; W is never relabelled.  A
+    node keeps, in that order, the candidates that still fit beside its
+    rows.  Two equal rows of two or more columns meet twice, so only a row
+    of at most one column repeats: the k-th row still to come is no larger
+    than the k-th candidate from the next one on, or has at most one
+    column.  That is the only bound.
+
+    A row fits if it meets no chosen row twice (a 4-cycle).  At girth 8
+    it must also close no 6-cycle: rows r, s, t and three distinct
+    columns, with r meeting s, s meeting t and t meeting r.  Let r come
+    before s, and t be a candidate when s is chosen.  Every candidate left
+    is then tested against s with ``far``, the columns outside s of the
+    chosen rows that meet it.  far holds t's column in r, which is not in
+    s, or t would meet s twice.  Conversely a candidate that meets s once
+    and far on some row r closes a 6-cycle through r and s, unless its
+    column in s is r's too, when it meets r twice, which r's test has ruled
+    out.  So the 6-cycle test is one AND.
+    """
+    slot = [max(m.bit_count(), 1) for m in range(1 << w)]  # the empty row repeats too
+    rows: list[int] = []
+    best = 0
+
+    def rec(fits: list[int], e: int) -> None:
+        nonlocal best
+        best = max(best, e)
+        left = v - len(rows)
+        for at, s in enumerate(fits):
+            top = fits[at : at + left]
+            if e + sum(slot[t] for t in top) + left - len(top) <= best:
+                return
+            far = 0
+            if min_girth == 8:
+                for r in rows:
+                    if r & s:
+                        far |= r & ~s
+            rows.append(s)
+            rec([t for t in fits[at:] if (t & s).bit_count() < 2 and not (t & s and t & far)], e + s.bit_count())
+            rows.pop()
+
+    rec(sorted(range(1 << w), key=lambda m: (m.bit_count(), m), reverse=True), 0)
+    return best
+
+
 def random_uncoloured(rng: random.Random, max_n: int = 8) -> Graph:
     n = rng.randint(1, max_n)
     pool = list(combinations(range(n), 2))

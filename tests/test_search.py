@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from functools import cmp_to_key
-from itertools import chain, repeat
+from itertools import chain, combinations, combinations_with_replacement, permutations, repeat
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +14,7 @@ import pytest
 from girthbound import bounds, graphcore, search
 from girthbound.graphcore import contract, from_edges, girth
 from girthbound.search import BudgetExhausted, certify_bound, max_size
-from helpers import forbid_processes, short_path_exists
+from helpers import forbid_processes, row_search_max, short_path_exists
 
 # e_max and witness edges for every (v, w) with v*w <= 30 at girths 6 and 8,
 # as the search returned them before it stopped at the least proven bound.
@@ -182,6 +182,29 @@ class TestBruteForceOracle:
         assert max_size(4, 5, 6).e_max == brute_force_max(4, 5, 6)
 
 
+class TestRowSearchOracle:
+    """The kernel against helpers.row_search_max, a search over rows that
+    shares no code, order, symmetry rule or bound with it."""
+
+    @pytest.mark.parametrize("g,top", [(6, 9), (8, 7)])
+    def test_agreement_up_to_the_largest_side(self, g, top):
+        # Every cell with v, w <= top.  The oracle runs once per pair, with
+        # its rows on the larger class, since it enumerates the subsets of
+        # the other.  Both orientations of max_size must agree with it, and
+        # so must the uncapped search (certify_bound's), which runs its
+        # whole tree, so no stop at a bound hides a graph the symmetry
+        # break or the pair count lost.
+        for v in range(1, top + 1):
+            for w in range(1, v + 1):
+                expected = row_search_max(v, w, g)
+                uncapped = search._search(
+                    w, v, g, v * w, search.DEFAULT_MAX_NODES, search.DEFAULT_MAX_SECONDS
+                )
+                got = (max_size(v, w, g).e_max, max_size(w, v, g).e_max, uncapped.e_max)
+                assert got == (expected,) * 3, (v, w, g)
+                assert uncapped.exhaustive
+
+
 class TestWitnesses:
     def test_witness_reverifies_and_matches_emax(self):
         rng = random.Random(3)
@@ -259,10 +282,13 @@ class TestSymmetryAndMonotonicity:
         return 0 if not diff else (-1 if a & diff & -diff else 1)
 
     def test_relabelling_makes_columns_0_and_1_canonical(self):
-        # The lemma behind the class-V symmetry break, without the kernel:
-        # relabel V as the search module's proof does, sort the columns
-        # into the kernel's order, and column 0 is rows 0..d-1 while
-        # column 1 is S | {d, ..., d+k-1} with S = {0} or empty.
+        # The class-V symmetry break at columns 0 and 1, by a direct
+        # relabelling on graphs up to 8x8, without the kernel: take a
+        # column A of greatest degree d and, among the rest, a column B of
+        # greatest degree, one that meets A if any does; number A's rows
+        # 0..d-1 (their common row first) and B's other rows next.  Sorted
+        # into the kernel's order, column 0 is rows 0..d-1 and column 1 is
+        # S | {d, ..., d+k-1} with S = {0} or empty.
         rng = random.Random(12)
         for _ in range(400):
             v, w = rng.randint(1, 8), rng.randint(1, 8)
@@ -300,6 +326,46 @@ class TestSymmetryAndMonotonicity:
             k = (second >> d).bit_count()
             assert second & ((1 << d) - 1) in (0, 1), case
             assert second >> d == (1 << k) - 1, case
+
+    def test_least_relabelling_enters_each_column_as_a_class_prefix(self):
+        # The lemma behind the kernel's class-V symmetry break, by brute
+        # force over every graph of girth >= 6 with v, w <= 4, taken as a
+        # multiset of column masks, since the sort forgets their order.
+        # Relabel V in every way, sort the columns by (-degree, rows in
+        # increasing order) (for equal degrees the lexicographically
+        # smaller row list holds the lowest differing row, as in w_order),
+        # and take the least sequence.  In it, rows that no earlier column
+        # tells apart enter each column as a prefix, in row order; so
+        # column 0 is rows 0..d-1, and column 1 is S | {d, ..., d+k-1} with
+        # S = {0} or empty.
+        for v in range(1, 5):
+            relabellings = list(permutations(range(v)))
+
+            def key(mask):
+                return -mask.bit_count(), [i for i in range(v) if mask >> i & 1]
+
+            for w in range(1, 5):
+                for graph in combinations_with_replacement(range(1 << v), w):
+                    if any((a & b).bit_count() > 1 for a, b in combinations(graph, 2)):
+                        continue  # a 4-cycle
+                    least = min(
+                        (
+                            sorted((sum(1 << p[i] for i in range(v) if m >> i & 1) for m in graph), key=key)
+                            for p in relabellings
+                        ),
+                        key=lambda cols: list(map(key, cols)),
+                    )
+                    case = (v, w, graph, least)
+                    for j, col in enumerate(least):
+                        for x, y in combinations(range(v), 2):
+                            if col >> y & 1 and not col >> x & 1:
+                                assert any((m >> x ^ m >> y) & 1 for m in least[:j]), case
+                    d = least[0].bit_count()
+                    second = least[1] if w > 1 else 0
+                    k = (second >> d).bit_count()
+                    assert least[0] == (1 << d) - 1, case
+                    assert second & ((1 << d) - 1) in (0, 1), case
+                    assert second >> d == (1 << k) - 1, case
 
 
 class TestUnbalancedRegime:
@@ -409,20 +475,26 @@ class TestDeterminismAndBudgets:
     @pytest.mark.parametrize(
         "v,w,g,nodes",
         [
-            (7, 5, 8, 97),
+            # 97 with class-V symmetry broken at columns 0 and 1 only: the
+            # rule at every column cuts the later columns' entries.
+            (7, 5, 8, 73),
             (7, 6, 6, 85),
-            (9, 6, 8, 1334),
+            # 1,334 with columns 0 and 1 only, as above.
+            (9, 6, 8, 483),
             (8, 3, 8, 11),
             (300, 3, 8, 303),
             # The maximum, found under (0, 0), (1, 0), prunes the two later
             # branches.
             (6, 8, 6, 72),
-            # Searched as 5x40; in its own orientation it takes 7,967 nodes.
-            (40, 5, 8, 196),
+            # Searched as 5x40; in its own orientation it takes 125 nodes.
+            # 196 with columns 0 and 1 only, as above.
+            (40, 5, 8, 172),
         ],
     )
     def test_pinned_node_counts(self, v, w, g, nodes):
         # The tree a pruning change would alter; update with a reason.
+        # The class-V symmetry break at every column cuts no node of the
+        # 7x6, 8x3, 300x3 and 6x8 trees.
         # max_size proves 7x5, 9x6, 8x3, 300x3 and 40x5 by construction
         # with no tree, so the kernel is pinned through the search it runs
         # on every other cell, stopped at the same least proven bound.
@@ -463,6 +535,9 @@ class TestDeterminismAndBudgets:
         # cells with max(v, w) >= h (the unbalanced regime) take 0 nodes and
         # hold the family member; the others are the kernel's trees.  No
         # such change may alter an e_max, so GRID_E_MAX pins them apart.
+        # The class-V symmetry break at every column (not only at columns 0
+        # and 1) cut the totals from 146,693 and 413,838 and changed no
+        # witness: each is still the first optimum in edge order.
         rows, nodes = [], {6: 0, 8: 0}
         e_max = {6: [], 8: []}
         for g in (6, 8):
@@ -475,34 +550,37 @@ class TestDeterminismAndBudgets:
                     edges = [list(e) for e in cert.witness.edges]
                     rows.append([v, w, g, cert.e_max, cert.nodes_explored, edges])
         assert e_max == {g: list(chain(*table)) for g, table in self.GRID_E_MAX.items()}
-        assert nodes == {6: 146_693, 8: 413_838}
+        assert nodes == {6: 15_703, 8: 21_329}
         digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode())
         assert digest.hexdigest() == (
-            "b07b891be1a788e08d2d2e0f7223904cab052f0baade13f6ea25cf1eba4fae26"
+            "955020ad8247f89e58b8190aec9351c10cc33dd189639336b35183f06d56a04d"
         )
 
-    def test_instance_out_of_reach_without_the_class_v_symmetry_break(self):
+    def test_instance_proven_only_by_its_whole_tree(self):
         # g8 8x7 lies below every bound, so only the completed tree proves
-        # 17; with only column 0 fixed the tree takes 56,564 nodes.
+        # 17.  With class-V symmetry broken at columns 0 and 1 only, the
+        # tree took 8,236 nodes, and with column 0 only 56,564.
         cert = max_size(8, 7, 8)
-        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 8236)
+        assert (cert.e_max, cert.exhaustive, cert.nodes_explored) == (17, True, 1115)
         assert cert.optimality == "exhaustive"
 
     def test_g6_9x9_is_proven_within_a_hundred_thousand_nodes(self):
         # 29 lies below the Reiman bound of 30, so only the completed tree
-        # proves it, in 30,636 nodes; with only column 0 fixed it takes
+        # proves it, in 2,320 nodes.  With class-V symmetry broken at
+        # columns 0 and 1 only it took 30,636; with column 0 only it takes
         # 327,521, and this budget stops it at 27 edges.
         cert = max_size(9, 9, 6, max_nodes=100_000)
         assert (cert.e_max, cert.exhaustive, cert.optimality) == (29, True, "exhaustive")
 
     def test_search_stops_when_its_best_graph_meets_the_bound(self):
-        # g8 5x5 reaches its cubic bound of 10 at its 37th node and stops
-        # there, proven; a budget one node short leaves it cut at 9 edges.
+        # g8 5x5 reaches its cubic bound of 10 at its 33rd node (37th with
+        # class-V symmetry broken at columns 0 and 1 only) and stops there,
+        # proven; a budget one node short leaves it cut at 9 edges.
         assert bounds.bound_report(5, 5, 8).binding_value == 10
-        cut = max_size(5, 5, 8, max_nodes=36)
-        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 36)
-        done = max_size(5, 5, 8, max_nodes=37)
-        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 37)
+        cut = max_size(5, 5, 8, max_nodes=32)
+        assert (cut.e_max, cut.exhaustive, cut.nodes_explored) == (9, False, 32)
+        done = max_size(5, 5, 8, max_nodes=33)
+        assert (done.e_max, done.exhaustive, done.nodes_explored) == (10, True, 33)
         assert done.witness == max_size(5, 5, 8).witness
 
     def test_certificates_match_the_table(self):
@@ -568,9 +646,9 @@ class TestDeterminismAndBudgets:
 
     @pytest.mark.parametrize("max_nodes", [1, 2, 5, 9, 10, 50, 1000])
     def test_node_budget_is_global(self, max_nodes):
-        # 6x7 g8 takes 1,066 nodes, so every budget here cuts it, and a cut
+        # 9x9 g8 takes 6,658 nodes, so every budget here cuts it, and a cut
         # search has spent exactly its budget.
-        cert = max_size(6, 7, 8, max_nodes=max_nodes)
+        cert = max_size(9, 9, 8, max_nodes=max_nodes)
         assert not cert.exhaustive
         assert cert.nodes_explored == max_nodes
         assert cert.witness.e == cert.e_max
@@ -580,17 +658,17 @@ class TestDeterminismAndBudgets:
         # graph, so a search that credits only counted graphs has e_max <
         # its nodes.
         for max_nodes in range(1, 51):
-            cert = max_size(6, 7, 8, max_nodes=max_nodes)
+            cert = max_size(9, 9, 8, max_nodes=max_nodes)
             assert cert.e_max < cert.nodes_explored == max_nodes, max_nodes
             assert cert.witness.e == cert.e_max
         # A clock that moves a second per reading: the deadline has passed
         # before the first node, and the search stops at its first clock
-        # check, after 1,024 nodes, the root included, by when the maximum
-        # of 14 has been found (at node 190).
+        # check, after 1,024 nodes, the root included, by when a graph of
+        # 21 edges has been found (the maximum, 22, comes at node 6,457).
         clock = iter(range(10 ** 6))
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock)))
-        cert = max_size(6, 7, 8, max_seconds=0.5)
-        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (14, 1024, False)
+        cert = max_size(9, 9, 8, max_seconds=0.5)
+        assert (cert.e_max, cert.nodes_explored, cert.exhaustive) == (21, 1024, False)
         assert cert.e_max < cert.nodes_explored
         assert cert.witness.e == cert.e_max
 
@@ -673,7 +751,7 @@ class TestDeterminismAndBudgets:
         assert certify_bound(600, 3, 8)
 
     def test_certify_raises_on_budget(self):
-        # The uncapped search of g8 6x7 takes thousands of nodes.
+        # The uncapped search of g8 6x7 takes 329 nodes.
         with pytest.raises(BudgetExhausted):
             certify_bound(6, 7, 8, max_nodes=50)
 
@@ -690,7 +768,7 @@ class TestDeterminismAndBudgets:
     @pytest.mark.parametrize("call", [max_size, certify_bound])
     def test_node_budget_must_be_an_integer(self, call):
         # The search stops when its count equals the budget, so 100.5 would
-        # never stop it: g8 9x9 would run all 246,227 nodes.
+        # never stop it: g8 9x9 would run all 6,658 nodes.
         with pytest.raises(ValueError, match="node budget must be an integer, got 100.5"):
             call(9, 9, 8, max_nodes=100.5)
         with pytest.raises(ValueError, match="node budget must be an integer"):
